@@ -340,7 +340,7 @@ def cmd_dynamics(cfg: RunConfig) -> int:
         "g_dispersive": params.g_dispersive,
         "fock_cutoff": cutoff,
         "t_final": t_final,
-        "dt": params.t_final / max(int(np.ceil(params.t_final / params.dt - 1e-9)), 1),
+        "dt": dynamics.time_grid(params)[1],
         "min_fidelity": min_fid,
         "max_infidelity": 1.0 - min_fid,
         "max_norm_drift": trace.max_norm_drift,

@@ -15,15 +15,18 @@ the literature (the magnitude 4 g0^2/|d| is not in dispute). Here the sign is
 fixed by matching the second-order dynamics of the oscillating model itself:
 the level pushed by the e^{+i d t} coupling shifts by +|V|^2/d. The fidelity
 validation in this module is the executable check of that convention.
+
+The oscillating model is solved exactly, not integrated: it is a frame
+rotation of a static Hamiltonian (see `_frame_propagator`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
+from .boson import FockSpace, op_annihilate
 from .linalg import Operator, StateVector
 from .spin import SpinSpace, collective_op, nonlinear_observable
 
@@ -75,20 +78,28 @@ class EvolutionTrace:
     max_norm_drift: float
 
 
+def time_grid(params: TwoPhotonTCParams, store_every: int = 1):
+    """The time grid t_k = k dt, k = 0..nsteps, shared by every evolution.
+
+    dt = t_final / nsteps <= params.dt with nsteps = ceil(t_final / params.dt).
+    Returns (nsteps, dt, stored): `stored` holds every `store_every`-th index
+    and always the last one."""
+    if store_every < 1:
+        raise ValueError("store_every must be a positive integer")
+    nsteps = max(int(np.ceil(params.t_final / params.dt - 1e-9)), 1)
+    stored = np.arange(0, nsteps + 1, store_every)
+    if stored[-1] != nsteps:
+        stored = np.append(stored, nsteps)
+    return nsteps, params.t_final / nsteps, stored
+
+
 def _ladder_parts(params: TwoPhotonTCParams):
-    """Dense J+ (x) a^2 and its dagger, plus the diagonal effective phases."""
-    space = SpinSpace(params.two_j)
-    nm = params.fock_cutoff + 1
-    jp = collective_op(space, "jplus").matrix.entries
-    a = np.zeros((nm, nm), dtype=complex)
-    for n in range(1, nm):
-        a[n - 1, n] = sqrt(n)
-    a2 = a @ a
-    h_plus = params.g0 * np.kron(jp, a2)
-    a_diag = np.diag(nonlinear_observable(space).entries).real
-    n_diag = np.arange(nm, dtype=float)
-    eff_diag = params.g_dispersive * np.outer(a_diag, n_diag).ravel()
-    return h_plus, h_plus.conj().T, eff_diag
+    """Dense g0 J+ (x) a^2 and its dagger, plus the leading effective
+    generator diagonal."""
+    jp = collective_op(SpinSpace(params.two_j), "jplus").matrix.entries
+    a = op_annihilate(FockSpace(params.fock_cutoff)).entries
+    h_plus = params.g0 * np.kron(jp, a @ a)
+    return h_plus, h_plus.conj().T, effective_generator_diag(params)
 
 
 def hamiltonian_full(params: TwoPhotonTCParams, t: float) -> Operator:
@@ -116,65 +127,47 @@ def conservation_residual(params: TwoPhotonTCParams, t: float = 0.237) -> float:
     return float(np.max(np.abs(comm)))
 
 
-NORM_DRIFT_LIMIT = 1e-6
+#: Largest number of complex entries in one per-chunk temporary of
+#: `effective_model_fidelity`. Of 2^10, 2^13, 2^15 and 2^20, 2^13 ran the
+#: perfbench dispersive cases fastest; 2^20 was 8x slower and raised peak
+#: memory from 58 to 97 MB.
+CHUNK_ELEMENTS = 2**13
 
 
-def _rk4(params: TwoPhotonTCParams, psi0: StateVector, observer=None,
-         store_every: int = 1):
-    """Fixed-step RK4 for the oscillating model. Returns stored times/states
-    and the max norm drift; raises when drift exceeds NORM_DRIFT_LIMIT.
-    States are never silently renormalized."""
+def _frame_propagator(params: TwoPhotonTCParams, psi0: StateVector):
+    """Exact solution of the oscillating model as a frame rotation.
+
+    H(t) = e^{i d Jz t} K e^{-i d Jz t} with K = g0 (J+ a^2 + J- a^dag^2), so
+    psi(t) = e^{i d Jz t} V e^{-i lambda t} V^dag psi0 exactly, where
+    K + d Jz = V diag(lambda) V^dag. Returns (d Jz diagonal, lambda, V,
+    V^dag psi0)."""
     if abs(psi0.norm() - 1.0) > 1e-10:
         raise ValueError("psi0 must be normalized")
     if psi0.dim != params.joint_dim:
         raise ValueError("psi0 must live on the joint space")
     h_plus, h_minus, _ = _ladder_parts(params)
-    stacked = np.vstack([h_plus, h_minus])
-    delta = params.delta_minus
-    dim = params.joint_dim
+    d_jz = params.delta_minus * np.repeat(SpinSpace(params.two_j).m_values(),
+                                          params.fock_cutoff + 1)
+    evals, evecs = np.linalg.eigh(h_plus + h_minus + np.diag(d_jz))
+    return d_jz, evals, evecs, evecs.conj().T @ psi0.amplitudes
 
-    nsteps = max(int(np.ceil(params.t_final / params.dt - 1e-9)), 1)
-    dt = params.t_final / nsteps
 
-    def deriv(t, v):
-        hv = stacked @ v
-        phase = np.exp(1j * delta * t)
-        return -1j * (phase * hv[:dim] + np.conj(phase) * hv[dim:])
-
-    v = psi0.amplitudes.copy()
-    t = 0.0
-    times = [0.0]
-    states = [StateVector(dim, v.copy())]
-    max_drift = 0.0
-    if observer is not None:
-        observer(0, 0.0, v)
-    for k in range(1, nsteps + 1):
-        k1 = deriv(t, v)
-        k2 = deriv(t + dt / 2, v + (dt / 2) * k1)
-        k3 = deriv(t + dt / 2, v + (dt / 2) * k2)
-        k4 = deriv(t + dt, v + dt * k3)
-        v = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = k * dt
-        drift = abs(np.linalg.norm(v) - 1.0)
-        if drift > max_drift:
-            max_drift = drift
-            if max_drift > NORM_DRIFT_LIMIT:
-                raise ValueError(
-                    f"norm drift {max_drift:.3e} exceeds {NORM_DRIFT_LIMIT:.0e}; "
-                    "reduce dt")
-        if observer is not None:
-            observer(k, t, v)
-        if k % store_every == 0 or k == nsteps:
-            times.append(t)
-            states.append(StateVector.unnormalized(v.copy()))
-    return np.array(times), tuple(states), max_drift
+def _full_states(frame, times):
+    """Full states at `times` and their largest norm drift |norm - 1|."""
+    d_jz, evals, evecs, coeffs = frame
+    states = tuple(StateVector.unnormalized(
+        np.exp(1j * d_jz * t) * (evecs @ (np.exp(-1j * evals * t) * coeffs)))
+        for t in times)
+    return states, max(abs(s.norm() - 1.0) for s in states)
 
 
 def evolve_full(params: TwoPhotonTCParams, psi0: StateVector,
                 store_every: int = 1) -> EvolutionTrace:
-    """Integrate the oscillating model with fixed-step RK4. Deterministic;
-    norm drift above 1e-6 is a step-size error."""
-    times, states, drift = _rk4(params, psi0, store_every=store_every)
+    """Exact evolution of the oscillating model (one Hermitian eigensolve of
+    the rotating-frame generator), stored every `store_every` grid points."""
+    _, dt, stored = time_grid(params, store_every)
+    times = stored * dt
+    states, drift = _full_states(_frame_propagator(params, psi0), times)
     return EvolutionTrace(times=times, full_states=states, effective_states=None,
                           fidelities=None, max_norm_drift=drift)
 
@@ -187,6 +180,13 @@ def effective_generator_diag(params: TwoPhotonTCParams,
     (g0^2/d) [(J^2-Jz^2)(4n+2) + 2 Jz (n^2+n+1)] is used instead of the
     leading dispersive piece, so the quality of dropping those terms is
     measurable rather than assumed.
+
+    The leading piece g_disp (J^2 - Jz^2) n tracks the oscillating model only
+    on Jz = 0 system states, where the dropped terms reduce to a global phase.
+    Elsewhere the dropped 2 Jz (n^2+n+1) term dephases the Fock components:
+    at two_j=2, cutoff 6, coherent(0.25) and g0/d = 0.05, |1,-1> falls to
+    fidelity 0.886 and |1,+1> to 0.844 within a quarter effective period,
+    while the second-order generator keeps 0.9999 and 0.954.
     """
     space = SpinSpace(params.two_j)
     nm = params.fock_cutoff + 1
@@ -214,17 +214,11 @@ def evolve_effective(params: TwoPhotonTCParams, psi0: StateVector,
     """Exact diagonal evolution under the effective nonlinear model."""
     if psi0.dim != params.joint_dim:
         raise ValueError("psi0 must live on the joint space")
-    nsteps = max(int(np.ceil(params.t_final / params.dt - 1e-9)), 1)
-    dt = params.t_final / nsteps
-    ks = [0] + list(range(store_every, nsteps + 1, store_every))
-    if ks[-1] != nsteps:
-        ks.append(nsteps)
-    times = np.array([k * dt for k in ks])
-    states = tuple(
-        StateVector(psi0.dim, effective_phases(params, tk, include_commutator_terms)
-                    * psi0.amplitudes)
-        for tk in times
-    )
+    _, dt, stored = time_grid(params, store_every)
+    times = stored * dt
+    gen = effective_generator_diag(params, include_commutator_terms)
+    states = tuple(StateVector(psi0.dim, np.exp(-1j * gen * tk) * psi0.amplitudes)
+                   for tk in times)
     return EvolutionTrace(times=times, full_states=None, effective_states=states,
                           fidelities=None, max_norm_drift=0.0)
 
@@ -232,40 +226,44 @@ def evolve_effective(params: TwoPhotonTCParams, psi0: StateVector,
 def effective_model_fidelity(params: TwoPhotonTCParams, psi0: StateVector,
                              store_every: int = 100,
                              include_commutator_terms: bool = False):
-    """Integrate both models in lockstep and return (min_fidelity, trace).
+    """Fidelity of the effective model against the exact oscillating model;
+    returns (min_fidelity, trace).
 
-    Fidelity |<psi_full|psi_eff>|^2 is evaluated at *every* step (the fast
-    micromotion sets the minimum), while states enter the trace only every
-    `store_every` steps. The full state is renormalized inside the overlap to
-    keep integrator norm drift out of the fidelity.
+    Fidelity |<psi_full|psi_eff>|^2 is evaluated at *every* point of
+    `time_grid` (the fast micromotion sets the minimum, so dt sets how finely
+    it is sampled), while states enter the trace only every `store_every`
+    points. The default leading generator applies to Jz = 0 system states
+    only; see `effective_generator_diag`.
     """
-    eff0 = psi0.amplitudes
-    gen_diag = effective_generator_diag(params, include_commutator_terms)
-    fids_all = []
-
-    def observer(k, t, v):
-        veff = np.exp(-1j * gen_diag * t) * eff0
-        f = abs(np.vdot(v, veff)) ** 2 / float(np.vdot(v, v).real)
-        fids_all.append(f)
-
-    times, states, drift = _rk4(params, psi0, observer=observer,
-                                store_every=store_every)
-    fids_all = np.array(fids_all)
-    nsteps = len(fids_all) - 1
-    dt = params.t_final / max(nsteps, 1)
-    stored_idx = np.rint(times / dt).astype(int)
-    eff_states = tuple(
-        StateVector(psi0.dim, effective_phases(params, tk, include_commutator_terms) * eff0)
-        for tk in times
-    )
+    nsteps, dt, stored = time_grid(params, store_every)
+    frame = _frame_propagator(params, psi0)
+    d_jz, evals, evecs, coeffs = frame
+    # with G the effective generator and c = V^dag psi0, <psi_full|psi_eff>
+    # = sum_k conj(c_k) e^{i lambda_k t} (V^dag e^{-i (G + d Jz) t} psi0)_k
+    # A chunk starting at t0 splits each phase as e^{i w (t0 + tau)}, so the
+    # chunk-sized phase tables over tau = 0, dt, .. are computed once.
+    rate = effective_generator_diag(params, include_commutator_terms) + d_jz
+    chunk = max(CHUNK_ELEMENTS // params.joint_dim, 1)
+    tau = dt * np.arange(min(chunk, nsteps + 1))[:, None]
+    rate_steps, eig_steps = np.exp(-1j * rate * tau), np.exp(1j * evals * tau)
+    fids = np.empty(nsteps + 1)
+    for start in range(0, nsteps + 1, chunk):
+        n, t0 = min(chunk, nsteps + 1 - start), start * dt
+        eff0 = np.exp(-1j * rate * t0) * psi0.amplitudes
+        full0 = np.exp(1j * evals * t0) * coeffs.conj()
+        overlaps = ((rate_steps[:n] * eff0) @ evecs.conj() * eig_steps[:n]) @ full0
+        fids[start:start + n] = np.abs(overlaps) ** 2
+    times = stored * dt
+    full_states, drift = _full_states(frame, times)
     trace = EvolutionTrace(
         times=times,
-        full_states=states,
-        effective_states=eff_states,
-        fidelities=fids_all[stored_idx],
+        full_states=full_states,
+        effective_states=evolve_effective(params, psi0, store_every,
+                                          include_commutator_terms).effective_states,
+        fidelities=fids[stored],
         max_norm_drift=drift,
     )
-    return float(np.min(fids_all)), trace
+    return float(np.min(fids)), trace
 
 
 def charge_drift(params: TwoPhotonTCParams, trace: EvolutionTrace) -> float:

@@ -134,6 +134,9 @@ def test_dynamics_cli(capsys):
 
 def test_dynamics_validation_exits_2(capsys):
     assert run(["dynamics", "--two-j", "2", "--g0", "0.9", "--delta-minus", "1.0"]) == 2
+    for bad in ("0", "-3"):
+        assert run(["dynamics", "--two-j", "2", "--g0", "0.05", "--delta-minus", "1.0",
+                    "--t-final", "5", "--store-every", bad]) == 2
 
 
 def test_weak_value_linear_family(capsys):

@@ -18,6 +18,8 @@ from wva_lab.linalg import StateVector, expm_i, fidelity, tensor
 from wva_lab.spin import SpinSpace, collective_op, dicke_state, nonlinear_observable
 from wva_lab.boson import op_number
 
+from rk4_oracle import rk4_derivative, rk4_evolve
+
 
 def make_params(**kw):
     base = dict(two_j=2, g0=0.02, delta_minus=1.0, fock_cutoff=4,
@@ -115,9 +117,9 @@ def test_rk4_self_convergence_fourth_order():
     p2 = make_params(g0=0.05, t_final=10.0, dt=0.01)
     p3 = make_params(g0=0.05, t_final=10.0, dt=0.005)
     psi0 = joint_state(p1, 0, basis_meter(p1, 2))
-    f1 = evolve_full(p1, psi0, store_every=10**9).full_states[-1].amplitudes
-    f2 = evolve_full(p2, psi0, store_every=10**9).full_states[-1].amplitudes
-    f3 = evolve_full(p3, psi0, store_every=10**9).full_states[-1].amplitudes
+    f1 = rk4_evolve(p1, psi0, store_every=10**9)[1][-1]
+    f2 = rk4_evolve(p2, psi0, store_every=10**9)[1][-1]
+    f3 = rk4_evolve(p3, psi0, store_every=10**9)[1][-1]
     d12 = np.linalg.norm(f1 - f2)
     d23 = np.linalg.norm(f2 - f3)
     assert d12 < 1e-8
@@ -169,20 +171,30 @@ def test_full_evolution_matches_two_level_closed_form():
         c_dn = np.vdot(dn2, s.amplitudes)
         u = np.cos(omega * t / 2) - 1j * (p.delta_minus / omega) * np.sin(omega * t / 2)
         w = -1j * (2 * v / omega) * np.sin(omega * t / 2)
-        assert c_up == pytest.approx(u * np.exp(1j * p.delta_minus * t / 2), abs=2e-7)
-        assert c_dn == pytest.approx(w * np.exp(-1j * p.delta_minus * t / 2), abs=2e-7)
+        assert c_up == pytest.approx(u * np.exp(1j * p.delta_minus * t / 2), abs=1e-13)
+        assert c_dn == pytest.approx(w * np.exp(-1j * p.delta_minus * t / 2), abs=1e-13)
+
+
+@pytest.mark.parametrize("two_j, cutoff", [(2, 4), (6, 6)])
+def test_exact_evolution_matches_rk4_oracle(two_j, cutoff):
+    # short horizon, where RK4 at dt = 0.01 is accurate to ~1e-10
+    p = make_params(two_j=two_j, g0=0.05, fock_cutoff=cutoff, t_final=10.0, dt=0.01)
+    meter = np.sqrt([0.4, 0.3, 0.2, 0.1] + [0.0] * (cutoff - 3))
+    psi0 = joint_state(p, 0, meter)
+    times, states = rk4_evolve(p, psi0, store_every=50)
+    trace = evolve_full(p, psi0, store_every=50)
+    np.testing.assert_allclose(trace.times, times, rtol=0, atol=1e-12)
+    dist = max(np.linalg.norm(s.amplitudes - v) for s, v in zip(trace.full_states, states))
+    assert dist <= 1e-8
 
 
 def test_rk4_derivative_consistent_with_hamiltonian(rng):
-    # the stacked fast path inside the integrator must equal -i H(t) v
+    # the stacked fast path inside the RK4 oracle must equal -i H(t) v
     p = make_params(two_j=3, fock_cutoff=3)
-    from wva_lab.dynamics import _ladder_parts
-
-    h_plus, h_minus, _ = _ladder_parts(p)
+    deriv = rk4_derivative(p)
     for t in (0.0, 0.41, 2.93):
         v = rng.normal(size=p.joint_dim) + 1j * rng.normal(size=p.joint_dim)
-        phase = np.exp(1j * p.delta_minus * t)
-        fast = -1j * (phase * (h_plus @ v) + np.conj(phase) * (h_minus @ v))
+        fast = deriv(t, v)
         direct = -1j * hamiltonian_full(p, t).entries @ v
         np.testing.assert_allclose(fast, direct, atol=1e-12)
 
@@ -254,6 +266,19 @@ def test_fidelity_trace_structure():
     assert len(trace.full_states) == len(trace.effective_states) == len(trace.times)
 
 
+def test_fidelity_trace_matches_stored_states():
+    # the chunked fidelity scan and the stored states are computed separately;
+    # over many chunks (15001 grid points) they must agree at every stored point
+    p = make_params(g0=0.05, t_final=300.0)
+    psi0 = joint_state(p, 0, [0.6, 0.5, 0.4, 0.3, 0.2])
+    for commutator in (False, True):
+        _, trace = effective_model_fidelity(p, psi0, store_every=37,
+                                            include_commutator_terms=commutator)
+        direct = [abs(np.vdot(f.amplitudes, e.amplitudes)) ** 2
+                  for f, e in zip(trace.full_states, trace.effective_states)]
+        np.testing.assert_allclose(trace.fidelities, direct, rtol=0, atol=1e-12)
+
+
 def test_fidelity_improves_as_coupling_shrinks():
     mins = []
     for ratio in (0.05, 0.02, 0.01):
@@ -291,6 +316,21 @@ def test_min_fidelity_exceeds_099_at_ratio_002():
     psi0 = joint_state(p, 0, meter.amplitudes)
     minf, _ = effective_model_fidelity(p, psi0, store_every=10**9)
     assert minf >= 0.99
+
+
+def test_leading_generator_misses_jz_nonzero_states():
+    # the leading generator drops 2 Jz (n^2+n+1), which dephases the Fock
+    # components of |1,-1>; the second-order generator keeps them in step
+    ratio = 0.05
+    p = make_params(two_j=2, g0=ratio, fock_cutoff=6,
+                    t_final=0.25 * 2 * np.pi / (4 * ratio**2), dt=0.05)
+    meter = coherent_state(FockSpace(6, tail_tolerance=1e-6), 0.25)
+    psi0 = joint_state(p, -1, meter.amplitudes)
+    leading, _ = effective_model_fidelity(p, psi0, store_every=10**9)
+    commutator, _ = effective_model_fidelity(p, psi0, store_every=10**9,
+                                             include_commutator_terms=True)
+    assert leading < 0.9
+    assert commutator > 0.99
 
 
 def test_commutator_variant_differs_from_leading():
