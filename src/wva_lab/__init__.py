@@ -42,6 +42,7 @@ from .wva import (
     PostselectionResult,
     WeakValueStrategy,
     collective_success,
+    evolved_joint,
     max_weak_value_bound,
     meter_readout,
     orthogonal_complement_state,

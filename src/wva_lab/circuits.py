@@ -320,17 +320,12 @@ def overlap_expansion_check(two_j: int, kappa: float, g: float,
     The deviation is the second-order error of collapsing the two-branch
     phase sum into a single exponential; it grows as O(g^2).
     """
-    from .wva import strategy_nonlinear_joint
+    from .wva import evolved_joint, strategy_nonlinear_joint
 
     strat = strategy_nonlinear_joint(two_j, kappa, g=g, eta=eta)
     j = strat.system_space.j
     space = strat.system_space
-    dim_m = strat.meter_space.dim
-
-    a_diag = np.diag(strat.A.entries).real
-    n_diag = np.diag(strat.B.entries).real
-    block = np.outer(strat.psi_i.amplitudes, strat.phi_i.amplitudes)
-    block = block * np.exp(-1j * g * np.outer(a_diag, n_diag))
+    block = evolved_joint(strat).amplitudes.reshape(space.dim, strat.meter_space.dim)
 
     alpha = strat.psi_f.amplitudes[space.index_of(0.0)]
     beta = strat.psi_f.amplitudes[space.index_of(-j)]
@@ -338,6 +333,7 @@ def overlap_expansion_check(two_j: int, kappa: float, g: float,
 
     a_w = 0.5 * (j**2 + 2 * j + j / sqrt(kappa))
     prefactor = sqrt(kappa) * j / sqrt(1.0 + kappa * j**2)
+    n_diag = np.diag(strat.B.entries).real
     rhs = prefactor * np.conj(strat.phi_i.amplitudes) * np.exp(1j * g * a_w * n_diag)
 
     dev = np.abs(lhs - rhs)

@@ -29,21 +29,13 @@ from .wva import (
     DEFAULT_ETA,
     DEFAULT_G,
     centered_quadrature,
+    evolved_joint,
     meter_readout,
     postselect,
-    strategy_linear_optimal,
-    strategy_near_deterministic,
-    strategy_nonlinear_joint,
-    strategy_uncorrelated,
 )
 
-FAMILY_FLAGS = {
-    "nonlinear-joint": ("nonlinear_joint", "kappa"),
-    "near-deterministic": ("near_deterministic", "epsilon"),
-    "linear-fixed-aw": ("linear_fixed_aw", "a_w"),
-    "linear-fixed-sigma": ("linear_fixed_sigma", "probe_ps"),
-    "uncorrelated": ("uncorrelated_baseline", "theta"),
-}
+#: `scaling --family` values, from the family table.
+BY_CLI_NAME = {fam.cli_name: fam for fam in experiments.FAMILIES.values()}
 
 
 class ConfigError(ValueError):
@@ -124,33 +116,37 @@ def _positive(cfg: RunConfig, key: str, kind=float):
     return v
 
 
-def _even_two_j(cfg: RunConfig, key: str = "two_j") -> int:
-    tj = int(cfg.require(key))
-    if tj < 2 or tj % 2 != 0:
-        raise ConfigError("nonlinear strategy requires integer j "
-                          f"(even two-j), got two-j = {tj}")
-    return tj
+def _integer(cfg: RunConfig, key: str, default=None) -> int:
+    """An integer setting: an int or integral float, never a bool or str."""
+    v = cfg.require(key) if default is None else cfg.get(key, default)
+    if isinstance(v, bool) or not (isinstance(v, int)
+                                   or isinstance(v, float) and v.is_integer()):
+        raise ConfigError(f"{key.replace('_', '-')}: must be an integer, got {v!r}")
+    return int(v)
+
+
+def _switch(cfg: RunConfig, key: str) -> bool:
+    """An on/off setting: a flag, or a JSON boolean in a config file."""
+    v = cfg.get(key, False)
+    if not isinstance(v, bool):
+        raise ConfigError(f"{key.replace('_', '-')}: must be true or false, got {v!r}")
+    return v
 
 
 def _build_single_strategy(cfg: RunConfig):
-    g = float(cfg.get("g", DEFAULT_G))
-    eta = complex(cfg.get("eta", DEFAULT_ETA))
-    chosen = [k for k in ("kappa", "epsilon", "theta", "a_w") if cfg.get(k) is not None]
+    """The strategy of the one family whose parameter is set, and its entry."""
+    chosen = [fam for fam in experiments.FAMILIES.values() if cfg.get(fam.param_key) is not None]
     if len(chosen) != 1:
-        raise ConfigError("choose exactly one of --kappa / --epsilon / --theta / --a-w")
-    kind = chosen[0]
-    if kind == "kappa":
-        return strategy_nonlinear_joint(_even_two_j(cfg), float(cfg.get("kappa")),
-                                        g=g, eta=eta), "nonlinear_joint"
-    if kind == "epsilon":
-        return strategy_near_deterministic(_even_two_j(cfg), float(cfg.get("epsilon")),
-                                           g=g, eta=eta), "near_deterministic"
-    if kind == "theta":
-        return strategy_uncorrelated(float(cfg.get("theta")), g=g, eta=eta), \
-            "uncorrelated_baseline"
-    two_j = int(cfg.require("two_j"))
-    return strategy_linear_optimal(two_j, float(cfg.get("a_w")), g=g, eta=eta), \
-        "linear_fixed_aw"
+        flags = " / ".join(f"--{fam.param_key.replace('_', '-')}"
+                           for fam in experiments.FAMILIES.values())
+        raise ConfigError(f"choose exactly one of {flags}")
+    fam = chosen[0]
+    # the uncorrelated baseline is a single probe: it takes no register size
+    two_j = _integer(cfg, "two_j") if fam.levels is not None else 1
+    strat = fam.build(two_j, float(cfg.get(fam.param_key)),
+                      g=float(cfg.get("g", DEFAULT_G)),
+                      eta=complex(cfg.get("eta", DEFAULT_ETA)))
+    return strat, fam
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +155,13 @@ def _build_single_strategy(cfg: RunConfig):
 
 
 def cmd_weak_value(cfg: RunConfig) -> int:
-    strat, family = _build_single_strategy(cfg)
+    strat, fam = _build_single_strategy(cfg)
     result = postselect(strat)
     r_op = centered_quadrature(strat)
     shift_exact, shift_formula = meter_readout(result, r_op, strat)
     doc = {
         "command": "weak-value",
-        "family": family,
+        "family": fam.name,
         "two_j": strat.system_space.two_j,
         "g": strat.g,
         "weak_value": result.weak_value,
@@ -182,29 +178,29 @@ def cmd_weak_value(cfg: RunConfig) -> int:
 
 def cmd_scaling(cfg: RunConfig) -> int:
     family_flag = cfg.require("family")
-    if family_flag not in FAMILY_FLAGS:
+    if family_flag not in BY_CLI_NAME:
         raise ConfigError(f"family: unknown {family_flag!r}; "
-                          f"valid: {', '.join(sorted(FAMILY_FLAGS))}")
-    family, param_key = FAMILY_FLAGS[family_flag]
-    parameter = float(cfg.require(param_key))
-    j_min = int(cfg.get("j_min", 4))
-    j_max = int(cfg.get("j_max", 20))
-    j_step = int(cfg.get("j_step", 2))
+                          f"valid: {', '.join(sorted(BY_CLI_NAME))}")
+    fam = BY_CLI_NAME[family_flag]
+    parameter = float(cfg.require(fam.param_key))
+    j_min = _integer(cfg, "j_min", 4)
+    j_max = _integer(cfg, "j_max", 20)
+    j_step = _integer(cfg, "j_step", 2)
     if j_min < 1 or j_max < j_min or j_step < 1:
         raise ConfigError("j-min/j-max/j-step: need 1 <= j-min <= j-max and j-step >= 1")
     sizes = list(range(j_min, j_max + 1, j_step))
-    if family in ("nonlinear_joint", "near_deterministic"):
+    if fam.integer_j:
         sizes = [tj for tj in sizes if tj % 2 == 0]
         if not sizes:
-            raise ConfigError("nonlinear strategy requires integer j: no even two-j "
+            raise ConfigError(f"{fam.name} requires integer j: no even two-j "
                               "values in the requested range")
     max_workers = max(int(os.environ.get("WVA_LAB_THREADS", "1")), 1)
     records = experiments.sweep(
-        family, sizes, parameter,
+        fam.name, sizes, parameter,
         g=float(cfg.get("g", DEFAULT_G)),
         eta=complex(cfg.get("eta", DEFAULT_ETA)),
         baseline_theta=float(cfg.get("baseline_theta", BASELINE_THETA)),
-        with_circuits=not cfg.get("no_circuits", False),
+        with_circuits=not _switch(cfg, "no_circuits"),
         max_workers=max_workers,
     )
     fits = {}
@@ -215,7 +211,7 @@ def cmd_scaling(cfg: RunConfig) -> int:
     if fmt == "csv":
         _emit(experiments.records_to_csv(records, fits), cfg.get("output"))
     elif fmt == "json":
-        _emit(experiments.records_to_json(family, parameter, records, fits),
+        _emit(experiments.records_to_json(fam.name, parameter, records, fits),
               cfg.get("output"))
     else:
         raise ConfigError(f"format: unknown {fmt!r}; valid: csv, json")
@@ -223,7 +219,7 @@ def cmd_scaling(cfg: RunConfig) -> int:
 
 
 def cmd_circuit_prep(cfg: RunConfig) -> int:
-    two_j = int(cfg.require("two_j"))
+    two_j = _integer(cfg, "two_j")
     m1 = float(cfg.require("m1"))
     m2 = float(cfg.require("m2"))
     alpha = float(cfg.get("alpha", 1 / np.sqrt(2)))
@@ -231,7 +227,7 @@ def cmd_circuit_prep(cfg: RunConfig) -> int:
     zeta_kind = cfg.get("zeta", "plus-all").replace("-", "_")
     doc = {"command": "circuit-prep", "two_j": two_j, "m1": m1, "m2": m2,
            "zeta": zeta_kind}
-    if two_j <= circuits.MAX_REGISTER_TWO_J and not cfg.get("analytic", False):
+    if two_j <= circuits.MAX_REGISTER_TWO_J and not _switch(cfg, "analytic"):
         zeta = circuits.reference_state(two_j, zeta_kind, m1, m2)
         res = circuits.prep_circuit(two_j, m1, m2, alpha, beta, zeta)
         doc.update({
@@ -251,24 +247,20 @@ def cmd_circuit_prep(cfg: RunConfig) -> int:
 
 
 def cmd_circuit_measure(cfg: RunConfig) -> int:
-    strat, family = _build_single_strategy(cfg)
-    if family not in ("nonlinear_joint", "near_deterministic"):
-        raise ConfigError("circuit-measure: use --kappa or --epsilon "
-                          "(two-component nonlinear postselection states)")
+    strat, fam = _build_single_strategy(cfg)
+    if fam.levels is None:
+        raise ConfigError(f"circuit-measure: {fam.name} has no two-component "
+                          "postselection state")
     two_j = strat.system_space.two_j
-    j = strat.system_space.j
-    m1, m2 = 0.0, -j
-    space = strat.system_space
-    alpha = complex(strat.psi_f.amplitudes[space.index_of(m1)])
-    beta = complex(strat.psi_f.amplitudes[space.index_of(m2)])
-    joint = experiments._evolved_joint(strat)
+    m1, m2, alpha, beta = fam.components(strat)
+    joint = evolved_joint(strat)
     meter_dim = strat.meter_space.dim
     doc = {"command": "circuit-measure", "two_j": two_j, "g": strat.g,
            "alpha": alpha, "beta": beta}
     analytic, _ = circuits.measure_probability_analytic(
         two_j, joint, m1, m2, alpha, beta, "dicke_superposition", meter_dim)
     doc["analytic_p_tilde"] = analytic
-    if two_j <= circuits.MAX_REGISTER_TWO_J and not cfg.get("analytic", False):
+    if two_j <= circuits.MAX_REGISTER_TWO_J and not _switch(cfg, "analytic"):
         zeta = circuits.reference_state(two_j, "dicke_superposition", m1, m2)
         res = circuits.measure_circuit(two_j, joint, m1, m2, alpha, beta, zeta,
                                        meter_dim)
@@ -283,14 +275,13 @@ def cmd_circuit_measure(cfg: RunConfig) -> int:
 
 
 def cmd_fisher(cfg: RunConfig) -> int:
-    strat, family = _build_single_strategy(cfg)
-    g = float(cfg.get("g", DEFAULT_G))
-    report = fisher.postselected_fisher_ratio(strat, g)
+    strat, fam = _build_single_strategy(cfg)
+    report = fisher.postselected_fisher_ratio(strat, strat.g)
     doc = {
         "command": "fisher",
-        "family": family,
+        "family": fam.name,
         "two_j": strat.system_space.two_j,
-        "g": g,
+        "g": strat.g,
         "qfi_total": report.qfi_total,
         "qfi_postselected": report.qfi_postselected,
         "qfi_meter_unweighted": report.qfi_meter_unweighted,
@@ -309,10 +300,10 @@ def cmd_fisher(cfg: RunConfig) -> int:
 
 
 def cmd_dynamics(cfg: RunConfig) -> int:
-    two_j = int(cfg.get("two_j", 2))
+    two_j = _integer(cfg, "two_j", 2)
     g0 = _positive(cfg, "g0")
     delta = float(cfg.require("delta_minus"))
-    cutoff = int(cfg.get("fock_cutoff", 6))
+    cutoff = _integer(cfg, "fock_cutoff", 6)
     g_disp = 4.0 * g0**2 / delta
     t_final = float(cfg.get("t_final", 2 * np.pi / abs(g_disp)))
     dt = float(cfg.get("dt", 0.05 / abs(delta)))
@@ -330,8 +321,8 @@ def cmd_dynamics(cfg: RunConfig) -> int:
     psi0 = StateVector(space.dim * (cutoff + 1),
                        np.kron(sys0.amplitudes, meter.amplitudes))
     min_fid, trace = dynamics.effective_model_fidelity(
-        params, psi0, store_every=int(cfg.get("store_every", 200)),
-        include_commutator_terms=bool(cfg.get("commutator_terms", False)))
+        params, psi0, store_every=_integer(cfg, "store_every", 200),
+        include_commutator_terms=_switch(cfg, "commutator_terms"))
     doc = {
         "command": "dynamics",
         "two_j": two_j,
@@ -362,11 +353,9 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _add_strategy_flags(p: argparse.ArgumentParser):
-    p.add_argument("--two-j", dest="two_j", type=int)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--a-w", dest="a_w", type=float)
+    """--g, --eta and one flag per family parameter, from the family table."""
+    for fam in experiments.FAMILIES.values():
+        p.add_argument(f"--{fam.param_key.replace('_', '-')}", dest=fam.param_key, type=float)
     p.add_argument("--g", type=float)
     p.add_argument("--eta", type=float)
 
@@ -380,22 +369,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("weak-value", help="one postselection run")
+    p.add_argument("--two-j", dest="two_j", type=int)
     _add_strategy_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_weak_value)
 
     p = sub.add_parser("scaling", help="sweep register sizes and fit exponents")
-    p.add_argument("--family", choices=sorted(FAMILY_FLAGS))
+    p.add_argument("--family", choices=sorted(BY_CLI_NAME))
     p.add_argument("--j-min", dest="j_min", type=int)
     p.add_argument("--j-max", dest="j_max", type=int)
     p.add_argument("--j-step", dest="j_step", type=int)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--a-w", dest="a_w", type=float)
-    p.add_argument("--probe-ps", dest="probe_ps", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--g", type=float)
-    p.add_argument("--eta", type=float)
+    _add_strategy_flags(p)
     p.add_argument("--baseline-theta", dest="baseline_theta", type=float)
     p.add_argument("--no-circuits", dest="no_circuits", action="store_true",
                    default=None)
@@ -415,12 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_circuit_prep)
 
     p = sub.add_parser("circuit-measure", help="postselection-measurement circuit")
+    p.add_argument("--two-j", dest="two_j", type=int)
     _add_strategy_flags(p)
     p.add_argument("--analytic", action="store_true", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_circuit_measure)
 
     p = sub.add_parser("fisher", help="Fisher-information report")
+    p.add_argument("--two-j", dest="two_j", type=int)
     _add_strategy_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_fisher)

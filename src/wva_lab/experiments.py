@@ -1,14 +1,13 @@
 """Scaling sweeps over register size and log-log exponent fits, plus the
 CSV/JSON record emission used by the CLI.
 
-Sigma baselines, per family (recorded in every JSON header):
-
-* linear_fixed_aw compares against an uncorrelated single probe tuned to the
-  *same* weak value (the fixed-weak-value baseline), which is the comparison
-  under which the collective linear strategy shows sigma ~ j.
-* all other families compare against an uncorrelated probe whose per-probe
-  success probability is held fixed across j (postselection angle
-  BASELINE_THETA), the at-least-one-click comparison.
+FAMILIES holds one entry per strategy family; adding a family means adding
+an entry. Its sigma baseline is recorded in every JSON header:
+"fixed_weak_value" compares against an uncorrelated single probe tuned to the
+*same* weak value, under which the collective linear strategy shows
+sigma ~ j; "fixed_per_probe_success" compares against an uncorrelated probe
+whose success probability is held fixed across j (postselection angle
+BASELINE_THETA), the at-least-one-click comparison.
 
 Everything is closed-form or deterministic dense arithmetic; two runs with
 the same configuration produce byte-identical output.
@@ -21,33 +20,64 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sin
+from typing import Callable
 
 import numpy as np
 
-from . import circuits, fisher
+from . import circuits, fisher, wva
 from .wva import (
     BASELINE_THETA,
     DEFAULT_ETA,
     DEFAULT_G,
     WeakValueStrategy,
     collective_success,
+    evolved_joint,
     sigma_advantage,
-    strategy_linear_fixed_sigma,
-    strategy_linear_optimal,
-    strategy_near_deterministic,
-    strategy_nonlinear_joint,
-    strategy_uncorrelated,
     success_probability,
     weak_value,
 )
 
-FAMILIES = (
-    "linear_fixed_aw",
-    "linear_fixed_sigma",
-    "nonlinear_joint",
-    "near_deterministic",
-    "uncorrelated_baseline",
-)
+
+@dataclass(frozen=True)
+class Family:
+    """One strategy family. `build(two_j, parameter, g=, eta=)` looks the
+    `wva.strategy_*` constructor up at call time, so a rebound module
+    attribute (a tracer, a test double) is seen. `levels(j)` gives the two
+    Dicke levels (m1, m2) where psi_f has weight; None for the uncorrelated
+    baseline, whose two_j counts independent single-qubit probes."""
+
+    name: str
+    cli_name: str
+    param_key: str
+    build: Callable[..., WeakValueStrategy]
+    levels: Callable[[float], tuple[float, float]] | None
+    integer_j: bool
+    sigma_baseline: str
+
+    def components(self, strat: WeakValueStrategy):
+        """(m1, m2, alpha, beta): the two levels and psi_f's amplitudes there."""
+        m1, m2 = self.levels(strat.system_space.j)
+        space, amps = strat.system_space, strat.psi_f.amplitudes
+        return m1, m2, complex(amps[space.index_of(m1)]), complex(amps[space.index_of(m2)])
+
+
+FAMILIES = {family.name: family for family in (
+    Family("linear_fixed_aw", "linear-fixed-aw", "a_w",
+           lambda two_j, p, **kw: wva.strategy_linear_optimal(two_j, p, **kw),
+           lambda j: (j, -j), False, "fixed_weak_value"),
+    Family("linear_fixed_sigma", "linear-fixed-sigma", "probe_ps",
+           lambda two_j, p, **kw: wva.strategy_linear_fixed_sigma(two_j, p, **kw),
+           lambda j: (j, -j), False, "fixed_per_probe_success"),
+    Family("nonlinear_joint", "nonlinear-joint", "kappa",
+           lambda two_j, p, **kw: wva.strategy_nonlinear_joint(two_j, p, **kw),
+           lambda j: (0.0, -j), True, "fixed_per_probe_success"),
+    Family("near_deterministic", "near-deterministic", "epsilon",
+           lambda two_j, p, **kw: wva.strategy_near_deterministic(two_j, p, **kw),
+           lambda j: (0.0, -j), True, "fixed_per_probe_success"),
+    Family("uncorrelated_baseline", "uncorrelated", "theta",
+           lambda two_j, p, **kw: wva.strategy_uncorrelated(p, **kw),
+           None, False, "fixed_per_probe_success"),
+)}
 
 CSV_HEADER = ("two_j,parameter,abs_weak_value,success_prob,sigma,"
               "qfi_total,fisher_ratio,prep_prob,measure_prob")
@@ -81,50 +111,32 @@ def fmt_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _build_strategy(family: str, two_j: int, parameter: float, g: float,
-                    eta: complex) -> WeakValueStrategy:
-    if family == "linear_fixed_aw":
-        return strategy_linear_optimal(two_j, parameter, g=g, eta=eta)
-    if family == "linear_fixed_sigma":
-        return strategy_linear_fixed_sigma(two_j, parameter, g=g, eta=eta)
-    if family == "nonlinear_joint":
-        return strategy_nonlinear_joint(two_j, parameter, g=g, eta=eta)
-    if family == "near_deterministic":
-        return strategy_near_deterministic(two_j, parameter, g=g, eta=eta)
-    if family == "uncorrelated_baseline":
-        return strategy_uncorrelated(parameter, g=g, eta=eta)
-    raise ValueError(f"unknown strategy family {family!r}; valid: {FAMILIES}")
+def _lookup(family: str) -> Family:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown strategy family {family!r}; valid: {tuple(FAMILIES)}")
+    return FAMILIES[family]
 
 
-def _sigma_for(family: str, two_j: int, parameter: float, ps: float, a_w: float,
+def _sigma_for(fam: Family, two_j: int, parameter: float, ps: float,
                baseline_theta: float) -> float:
-    if family == "uncorrelated_baseline":
-        coll = collective_success(ps, two_j)
-        return sigma_advantage(coll.exact, two_j, ps)
-    if family == "linear_fixed_aw":
-        probe = strategy_linear_optimal(1, parameter)
-        baseline = success_probability(probe.psi_i, probe.psi_f)
-    else:
-        baseline = sin(baseline_theta) ** 2
-    return sigma_advantage(ps, two_j, baseline)
+    if fam.levels is None:  # 2j independent probes, each succeeding with ps
+        return sigma_advantage(collective_success(ps, two_j).exact, two_j, ps)
+    if fam.sigma_baseline == "fixed_weak_value":
+        probe = fam.build(1, parameter)
+        return sigma_advantage(ps, two_j, success_probability(probe.psi_i, probe.psi_f))
+    return sigma_advantage(ps, two_j, sin(baseline_theta) ** 2)
 
 
-def _circuit_probs(family: str, strat: WeakValueStrategy, two_j: int):
+def _circuit_probs(fam: Family, strat: WeakValueStrategy):
     """Preparation weight and measurement probability for the strategy's
     two-component states; brute force within the register cap, closed form
     beyond it."""
-    if family == "uncorrelated_baseline":
+    if fam.levels is None:
         return None, None
-    j = strat.system_space.j
-    if family in ("nonlinear_joint", "near_deterministic"):
-        m1, m2 = 0.0, -j
-    else:
-        m1, m2 = j, -j
-    space = strat.system_space
-    alpha = strat.psi_f.amplitudes[space.index_of(m1)]
-    beta = strat.psi_f.amplitudes[space.index_of(m2)]
+    two_j = strat.system_space.two_j
+    m1, m2, alpha, beta = fam.components(strat)
     meter_dim = strat.meter_space.dim
-    joint = _evolved_joint(strat)
+    joint = evolved_joint(strat)
     if two_j <= circuits.MAX_REGISTER_TWO_J:
         zeta_prep = circuits.reference_state(two_j, "plus_all")
         prep = circuits.prep_circuit(two_j, m1, m2, 1 / np.sqrt(2), 1 / np.sqrt(2),
@@ -143,30 +155,19 @@ def _circuit_probs(family: str, strat: WeakValueStrategy, two_j: int):
     return prep, meas
 
 
-def _evolved_joint(strat: WeakValueStrategy):
-    """Exact evolved system (x) meter state of a diagonal-diagonal strategy."""
-    from .linalg import StateVector
-
-    a_diag = np.diag(strat.A.entries).real
-    b_diag = np.diag(strat.B.entries).real
-    block = np.outer(strat.psi_i.amplitudes, strat.phi_i.amplitudes)
-    block = block * np.exp(-1j * strat.g * np.outer(a_diag, b_diag))
-    return StateVector(strat.system_space.dim * strat.meter_space.dim, block.ravel())
-
-
-def _one_record(family: str, two_j: int, parameter: float, g: float, eta: complex,
+def _one_record(fam: Family, two_j: int, parameter: float, g: float, eta: complex,
                 baseline_theta: float, with_circuits: bool) -> ScalingRecord:
-    strat = _build_strategy(family, two_j, parameter, g, eta)
+    strat = fam.build(two_j, parameter, g=g, eta=eta)
     a_w = weak_value(strat.psi_i, strat.psi_f, strat.A)
     ps = success_probability(strat.psi_i, strat.psi_f)
-    sigma = _sigma_for(family, two_j, parameter, ps, abs(a_w), baseline_theta)
+    sigma = _sigma_for(fam, two_j, parameter, ps, baseline_theta)
     qfi_total = fisher.qfi_product(strat.A, strat.psi_i, strat.B, strat.phi_i)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         ratio = fisher.postselected_fisher_ratio(strat, g).ratio
     prep = meas = None
     if with_circuits:
-        prep, meas = _circuit_probs(family, strat, strat.system_space.two_j)
+        prep, meas = _circuit_probs(fam, strat)
     # For the uncorrelated family two_j counts independent probes, each a
     # fresh single-qubit strategy; for collective families it is the register.
     return ScalingRecord(
@@ -190,14 +191,13 @@ def sweep(family: str, two_j_values, parameter: float, *, g: float = DEFAULT_G,
     Records for distinct sizes are independent; `max_workers` > 1 computes
     them on a thread pool. Output order and values are identical either way.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown strategy family {family!r}; valid: {FAMILIES}")
+    fam = _lookup(family)
     sizes = sorted(set(int(v) for v in two_j_values))
     if not sizes:
         raise ValueError("need at least one two_j value")
 
     def make(tj):
-        return _one_record(family, tj, parameter, g, eta, baseline_theta, with_circuits)
+        return _one_record(fam, tj, parameter, g, eta, baseline_theta, with_circuits)
 
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -287,8 +287,7 @@ def records_to_json(family: str, parameter: float, records,
         "schema": SCHEMA_VERSION,
         "family": family,
         "parameter": _round12(parameter),
-        "sigma_baseline": ("fixed_weak_value" if family == "linear_fixed_aw"
-                           else "fixed_per_probe_success"),
+        "sigma_baseline": _lookup(family).sigma_baseline,
         "records": [record_to_dict(r) for r in records],
     }
     if fits:

@@ -282,35 +282,37 @@ def _first_order_kick(strategy: WeakValueStrategy, a_w: complex) -> StateVector:
     return StateVector.of(kicked)
 
 
-def postselect(strategy: WeakValueStrategy) -> PostselectionResult:
-    """Run the strategy exactly and at first order.
-
-    Exact path: evolve psi_i (x) phi_i under exp(-i g A (x) B) (O(dim) when
-    both observables are diagonal), project the system onto psi_f, renormalize
-    the meter. First-order path: apply exp(-i g A_w B) to phi_i. Both kicked
-    meter states and both success probabilities are reported.
-    """
+def evolved_joint(strategy: WeakValueStrategy) -> StateVector:
+    """exp(-i g A (x) B)|psi_i>|phi_i>, the exact joint state after the kick:
+    O(dim) elementwise phases when both observables are diagonal, one dense
+    eigendecomposition otherwise."""
     dim_s, dim_m = strategy.system_space.dim, strategy.meter_space.dim
     if dim_s * dim_m > DEFAULT_MAX_TENSOR_DIM:
         raise ValueError("joint dimension exceeds the configured maximum")
-    a_w = strategy.weak_value()
-    g = strategy.g
-
     if strategy.A.diagonal and strategy.B.diagonal:
         a_diag = np.diag(strategy.A.entries).real
         b_diag = np.diag(strategy.B.entries).real
         block = np.outer(strategy.psi_i.amplitudes, strategy.phi_i.amplitudes)
-        block = block * np.exp(-1j * g * np.outer(a_diag, b_diag))
-        joint = StateVector(dim=dim_s * dim_m, amplitudes=block.ravel())
-    else:
-        h_joint = tensor(strategy.A, strategy.B)
-        u = expm_i(h_joint, g)
-        joint = StateVector(
-            dim=dim_s * dim_m,
-            amplitudes=u.entries @ tensor(strategy.psi_i, strategy.phi_i).amplitudes,
-        )
+        block = block * np.exp(-1j * strategy.g * np.outer(a_diag, b_diag))
+        return StateVector(dim=dim_s * dim_m, amplitudes=block.ravel())
+    u = expm_i(tensor(strategy.A, strategy.B), strategy.g)
+    return StateVector(
+        dim=dim_s * dim_m,
+        amplitudes=u.entries @ tensor(strategy.psi_i, strategy.phi_i).amplitudes,
+    )
 
-    prob, kicked_exact, _ = project_left(joint, strategy.psi_f, dim_m)
+
+def postselect(strategy: WeakValueStrategy) -> PostselectionResult:
+    """Run the strategy exactly and at first order.
+
+    Exact path: evolve psi_i (x) phi_i with `evolved_joint`, project the
+    system onto psi_f, renormalize the meter. First-order path: apply
+    exp(-i g A_w B) to phi_i. Both kicked meter states and both success
+    probabilities are reported.
+    """
+    a_w = strategy.weak_value()
+    joint = evolved_joint(strategy)
+    prob, kicked_exact, _ = project_left(joint, strategy.psi_f, strategy.meter_space.dim)
     kicked_fo = _first_order_kick(strategy, a_w)
     return PostselectionResult(
         weak_value=a_w,

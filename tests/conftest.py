@@ -32,3 +32,14 @@ def nonlinear_ratio_limit(two_j, kappa, eta):
     a2 = (j**4 + 2 * j**3 + 2 * j**2) / 2
     var_a = j**4 / 4
     return ps * a_w**2 / (a2 + var_a * abs(eta) ** 2)
+
+
+#: A valid parameter of each strategy family (experiments.FAMILIES) for
+#: register sizes two_j = 4..8.
+FAMILY_PARAMETERS = {
+    "linear_fixed_aw": 250.0,
+    "linear_fixed_sigma": 0.0025,
+    "nonlinear_joint": 1e-4,
+    "near_deterministic": 0.04,
+    "uncorrelated_baseline": 0.05,
+}

@@ -26,11 +26,12 @@ from wva_lab import circuits as C
 from wva_lab import dynamics, fisher
 from wva_lab.boson import FockSpace, coherent_state
 from wva_lab.cli import run as cli_run
-from wva_lab.experiments import _evolved_joint, fit_loglog, sweep
+from wva_lab.experiments import fit_loglog, sweep
 from wva_lab.linalg import StateVector, fidelity
 from wva_lab.spin import SpinSpace, collective_op, dicke_state, nonlinear_observable, superpose_dicke, variance
 from wva_lab.wva import (
     centered_quadrature,
+    evolved_joint,
     meter_readout,
     postselect,
     strategy_linear_optimal,
@@ -148,7 +149,7 @@ def test_criterion_5_circuit_oracle_equivalence():
         alpha = complex(strat.psi_f.amplitudes[sp.index_of(j)])
         beta = complex(strat.psi_f.amplitudes[sp.index_of(-j)])
         zeta = C.reference_state(two_j, "dicke_superposition", j, -j)
-        res = C.measure_circuit(two_j, _evolved_joint(strat), j, -j, alpha, beta,
+        res = C.measure_circuit(two_j, evolved_joint(strat), j, -j, alpha, beta,
                                 zeta, strat.meter_space.dim)
         worst_prob = max(worst_prob, abs(res.p_tilde - res.analytic_p_tilde))
         kicked = postselect(strat).kicked_meter_exact
@@ -160,7 +161,7 @@ def test_criterion_5_circuit_oracle_equivalence():
         alpha = complex(strat.psi_f.amplitudes[sp.index_of(0)])
         beta = complex(strat.psi_f.amplitudes[sp.index_of(-j)])
         zeta = C.reference_state(two_j, "dicke_superposition", 0, -j)
-        res = C.measure_circuit(two_j, _evolved_joint(strat), 0, -j, alpha, beta,
+        res = C.measure_circuit(two_j, evolved_joint(strat), 0, -j, alpha, beta,
                                 zeta, strat.meter_space.dim)
         worst_prob = max(worst_prob, abs(res.p_tilde - res.analytic_p_tilde))
         kicked = postselect(strat).kicked_meter_exact

@@ -1,3 +1,8 @@
+import subprocess
+import sys
+from math import exp
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -94,3 +99,32 @@ def test_poisson_tail_monotone():
     tails = [poisson_tail(k, lam) for k in range(8)]
     assert all(a > b for a, b in zip(tails, tails[1:]))
     assert poisson_tail(0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("lam", [0.25, 1.0, 5.0])
+def test_poisson_tail_closed_forms(lam):
+    assert poisson_tail(0, lam) == pytest.approx(1 - exp(-lam), rel=1e-14)
+    assert poisson_tail(1, lam) == pytest.approx(1 - exp(-lam) * (1 + lam), rel=1e-14)
+
+
+def test_poisson_tail_far_below_a_large_mean():
+    # the first terms underflow here, yet the tail is essentially 1
+    assert poisson_tail(10, 1000.0) == pytest.approx(1.0, abs=1e-12)
+    assert poisson_tail(0, 800.0) <= 1.0
+
+
+@pytest.mark.parametrize("eta, tol, cutoff", [
+    (0.1, 1e-12, 4), (0.05, 1e-12, 4), (0.3, 1e-12, 7), (0.8, 1e-12, 12),
+    (1.5, 1e-12, 19), (3.0, 1e-12, 37), (0.25, 1e-6, 3), (10.0, 1e-12, 178),
+    (30.0, 1e-12, 1119)])
+def test_min_cutoff_pinned(eta, tol, cutoff):
+    # the cutoffs that the regularized incomplete gamma function gives
+    assert min_cutoff(eta, tol) == cutoff
+
+
+def test_import_leaves_scipy_out():
+    # run from src/ so that "-c" imports this checkout's package
+    code = "import sys, wva_lab; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=Path(__file__).resolve().parents[1] / "src")
+    assert out.stdout.strip() == "False"

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from wva_lab import circuits as C
 from wva_lab.linalg import StateVector, fidelity, inner
 from wva_lab.spin import SpinSpace
-from wva_lab.wva import postselect, strategy_linear_optimal, strategy_nonlinear_joint
-from wva_lab.experiments import _evolved_joint
+from wva_lab.wva import evolved_joint, postselect, strategy_linear_optimal, strategy_nonlinear_joint
 
 
 def test_embed_dicke_two_qubits():
@@ -145,7 +144,7 @@ def _nonlinear_pieces(two_j, kappa, g):
     j = sp.j
     alpha = complex(strat.psi_f.amplitudes[sp.index_of(0)])
     beta = complex(strat.psi_f.amplitudes[sp.index_of(-j)])
-    joint = _evolved_joint(strat)
+    joint = evolved_joint(strat)
     return strat, alpha, beta, joint
 
 
@@ -192,7 +191,7 @@ def test_measure_brute_force_matches_analytic(two_j):
     j = sp.j
     alpha = complex(strat.psi_f.amplitudes[sp.index_of(j)])
     beta = complex(strat.psi_f.amplitudes[sp.index_of(-j)])
-    joint = _evolved_joint(strat)
+    joint = evolved_joint(strat)
     zeta = C.reference_state(two_j, "dicke_superposition", j, -j)
     res = C.measure_circuit(two_j, joint, j, -j, alpha, beta, zeta,
                             strat.meter_space.dim)

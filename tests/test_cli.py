@@ -2,7 +2,10 @@ import json
 
 import pytest
 
-from wva_lab.cli import run
+from wva_lab.cli import BY_CLI_NAME, run
+from wva_lab.experiments import FAMILIES, records_to_csv, records_to_json, sweep
+
+from conftest import FAMILY_PARAMETERS
 
 
 def capture(capsys, argv):
@@ -111,6 +114,22 @@ def test_circuit_measure_cli(capsys):
     assert doc["p_tilde"] == pytest.approx(doc["analytic_p_tilde"], rel=1e-9)
 
 
+@pytest.mark.parametrize("argv", [["--two-j", "5", "--a-w", "40"],
+                                  ["--two-j", "4", "--probe-ps", "0.01"]])
+def test_circuit_measure_linear_families(capsys, argv):
+    # the (j, -j) levels of the table: brute force agrees with the closed form
+    code, out = capture(capsys, ["circuit-measure", *argv])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["conditional_meter_fidelity_vs_postselect"] >= 1 - 1e-9
+    assert doc["p_tilde"] == pytest.approx(doc["analytic_p_tilde"], rel=1e-9)
+
+
+def test_circuit_measure_single_probe_exits_2(capsys):
+    assert run(["circuit-measure", "--theta", "0.05"]) == 2
+    assert "no two-component postselection state" in capsys.readouterr().err
+
+
 def test_fisher_cli(capsys):
     code, out = capture(capsys, ["fisher", "--two-j", "12", "--kappa", "1e-3",
                                  "--eta", "0.05", "--g", "1e-4"])
@@ -155,3 +174,69 @@ def test_thread_env_does_not_change_output(tmp_path, monkeypatch):
     monkeypatch.setenv("WVA_LAB_THREADS", "4")
     assert run(args + ["--output", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("fam", FAMILIES.values(), ids=lambda fam: fam.name)
+def test_scaling_reads_the_family_table(fam, capsys):
+    assert BY_CLI_NAME[fam.cli_name] is fam
+    parameter = FAMILY_PARAMETERS[fam.name]
+    args = ["scaling", "--family", fam.cli_name, "--j-min", "4", "--j-max", "8",
+            f"--{fam.param_key.replace('_', '-')}", repr(parameter)]
+    records = sweep(fam.name, [4, 6, 8], parameter)  # three records: no fits
+    code, out = capture(capsys, args + ["--format", "csv"])
+    assert code == 0 and out == records_to_csv(records)
+    code, out = capture(capsys, args + ["--format", "json"])
+    assert code == 0 and out == records_to_json(fam.name, parameter, records)
+
+
+def _run_config(tmp_path, command, values):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(values))
+    return run([command, "--config", str(path)])
+
+
+DYNAMICS = {"two_j": 2, "g0": 0.05, "delta_minus": 1.0, "t_final": 5.0}
+SCALING = {"family": "nonlinear-joint", "kappa": 1e-4, "j_max": 8}
+
+
+@pytest.mark.parametrize("command, values", [
+    ("weak-value", {"two_j": 4.7, "kappa": 1e-3}),
+    ("weak-value", {"two_j": True, "a_w": 40.0}),
+    ("fisher", {"two_j": "4", "kappa": 1e-3}),
+    ("scaling", {**SCALING, "j_min": 4.9}),
+    ("scaling", {**SCALING, "j_max": 8.5}),
+    ("scaling", {**SCALING, "j_step": True}),
+    ("circuit-prep", {"two_j": 2.5, "m1": 0, "m2": -1}),
+    ("dynamics", {**DYNAMICS, "two_j": 2.2}),
+    ("dynamics", {**DYNAMICS, "fock_cutoff": 4.5}),
+    ("dynamics", {**DYNAMICS, "store_every": False}),
+])
+def test_config_integer_rejects_fraction_bool_string(tmp_path, capsys, command, values):
+    assert _run_config(tmp_path, command, values) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_config_integral_float_is_an_integer(tmp_path, capsys):
+    assert _run_config(tmp_path, "weak-value", {"two_j": 4.0, "kappa": 1e-3}) == 0
+    from_file = capsys.readouterr().out
+    code, from_flag = capture(capsys, ["weak-value", "--two-j", "4", "--kappa", "1e-3"])
+    assert code == 0 and from_file == from_flag
+
+
+@pytest.mark.parametrize("command, values", [
+    ("scaling", {**SCALING, "no_circuits": "false"}),
+    ("circuit-prep", {"two_j": 2, "m1": 0, "m2": -1, "analytic": 0}),
+    ("circuit-measure", {"two_j": 4, "kappa": 1e-3, "analytic": "true"}),
+    ("dynamics", {**DYNAMICS, "commutator_terms": 1}),
+])
+def test_config_switch_must_be_json_boolean(tmp_path, capsys, command, values):
+    assert _run_config(tmp_path, command, values) == 2
+    assert "must be true or false" in capsys.readouterr().err
+
+
+def test_config_switch_json_boolean(tmp_path, capsys):
+    assert _run_config(tmp_path, "scaling", {**SCALING, "no_circuits": True}) == 0
+    assert all(r["prep_prob"] is None for r in json.loads(capsys.readouterr().out)["records"])
+    assert _run_config(tmp_path, "scaling", {**SCALING, "no_circuits": False}) == 0
+    assert all(r["prep_prob"] is not None
+               for r in json.loads(capsys.readouterr().out)["records"])

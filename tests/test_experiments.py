@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from wva_lab import wva
 from wva_lab.experiments import (
     CSV_HEADER,
+    FAMILIES,
     FitResult,
     ScalingRecord,
     fit_loglog,
@@ -11,6 +13,8 @@ from wva_lab.experiments import (
     records_to_json,
     sweep,
 )
+
+from conftest import FAMILY_PARAMETERS
 
 
 def test_sweep_nonlinear_closed_form_columns():
@@ -54,6 +58,35 @@ def test_sweep_circuit_columns_modes():
 def test_sweep_rejects_unknown_family():
     with pytest.raises(ValueError, match="unknown strategy family"):
         sweep("bogus", [4], 0.1)
+
+
+@pytest.mark.parametrize("fam", FAMILIES.values(), ids=lambda fam: fam.name)
+def test_family_levels_are_where_psi_f_has_weight(fam):
+    strat = fam.build(4, FAMILY_PARAMETERS[fam.name])
+    if fam.levels is None:  # the single-probe baseline has no register levels
+        assert fam.name == "uncorrelated_baseline"
+        assert strat.system_space.two_j == 1
+        return
+    space = strat.system_space
+    m1, m2 = fam.levels(space.j)
+    weighted = np.flatnonzero(strat.psi_f.amplitudes)
+    assert sorted(weighted) == sorted([space.index_of(m1), space.index_of(m2)])
+    _, _, alpha, beta = fam.components(strat)
+    assert abs(alpha) ** 2 + abs(beta) ** 2 == pytest.approx(1.0, abs=1e-14)
+
+
+def test_family_build_looks_the_constructor_up_per_call(monkeypatch):
+    # a rebound wva.strategy_* (as the benchmark tracer installs) must be seen
+    calls = []
+    real = wva.strategy_nonlinear_joint
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(wva, "strategy_nonlinear_joint", spy)
+    sweep("nonlinear_joint", [4, 6], 1e-4, with_circuits=False)
+    assert calls == [(4, 1e-4), (6, 1e-4)]
 
 
 def test_sweep_threaded_matches_serial():

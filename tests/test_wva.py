@@ -1,14 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wva_lab.boson import op_number
-from wva_lab.linalg import NullPostselectionError, Operator, StateVector, fidelity, inner
+from wva_lab.linalg import NullPostselectionError, Operator, StateVector, expm_i, fidelity, inner, tensor
 from wva_lab.spin import SpinSpace, collective_op, dicke_state, nonlinear_observable, superpose_dicke, variance
 from wva_lab.wva import (
     centered_quadrature,
     collective_success,
+    evolved_joint,
     max_weak_value_bound,
     meter_readout,
     orthogonal_complement_state,
@@ -395,6 +398,19 @@ def test_postselect_diagonal_and_dense_paths_agree():
         == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(fast.kicked_meter_exact.amplitudes,
                                slow.kicked_meter_exact.amplitudes, atol=1e-12)
+
+
+@pytest.mark.parametrize("strat", [strategy_nonlinear_joint(6, 1e-3, g=2e-3, eta=0.3),
+                                   strategy_linear_optimal(5, 40.0, g=1e-3, eta=0.3)],
+                         ids=["nonlinear", "linear"])
+def test_evolved_joint_matches_dense_oracle(strat):
+    # oracle: exp(-i g A (x) B) assembled densely, applied to psi_i (x) phi_i
+    u = expm_i(tensor(strat.A, strat.B), strat.g)
+    oracle = u.entries @ tensor(strat.psi_i, strat.phi_i).amplitudes
+    # the phase path, and the eigendecomposition path on an A not marked diagonal
+    dense_a = Operator(strat.A.dim, np.asarray(strat.A.entries), hermitian=True)
+    for s in (strat, dataclasses.replace(strat, A=dense_a)):
+        np.testing.assert_allclose(evolved_joint(s).amplitudes, oracle, rtol=0, atol=1e-13)
 
 
 def test_strategy_records_overlap_at_construction():
