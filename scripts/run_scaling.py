@@ -23,18 +23,23 @@ RUNS = [
 ]
 
 
-def main():
-    outdir = pathlib.Path(__file__).resolve().parents[1] / "results"
-    outdir.mkdir(exist_ok=True)
+def render():
+    """Yield (stem, fits, CSV text, JSON text) for every entry of RUNS."""
     for family, grid, parameter, g in RUNS:
         records = sweep(family, grid, parameter, g=g,
                         with_circuits=family != "uncorrelated_baseline")
         fits = {f"{y}_vs_two_j": fit_loglog(records, "two_j", y)
                 for y in ("abs_weak_value", "success_prob", "sigma")}
-        stem = f"{family}_{parameter:g}"
-        (outdir / f"{stem}.csv").write_text(records_to_csv(records, fits))
-        (outdir / f"{stem}.json").write_text(
-            records_to_json(family, parameter, records, fits))
+        yield (f"{family}_{parameter:g}", fits, records_to_csv(records, fits),
+               records_to_json(family, parameter, records, fits))
+
+
+def main():
+    outdir = pathlib.Path(__file__).resolve().parents[1] / "results"
+    outdir.mkdir(exist_ok=True)
+    for stem, fits, csv_text, json_text in render():
+        (outdir / f"{stem}.csv").write_text(csv_text)
+        (outdir / f"{stem}.json").write_text(json_text)
         print(f"{stem}:")
         for name, fit in fits.items():
             print(f"  {name}: slope {fit.slope:+.4f} (r^2 {fit.r_squared:.6f})")

@@ -276,7 +276,7 @@ def cmd_circuit_measure(cfg: RunConfig) -> int:
 
 def cmd_fisher(cfg: RunConfig) -> int:
     strat, fam = _build_single_strategy(cfg)
-    report = fisher.postselected_fisher_ratio(strat, strat.g)
+    report = fisher.postselected_fisher_ratio(strat)
     doc = {
         "command": "fisher",
         "family": fam.name,
@@ -290,7 +290,7 @@ def cmd_fisher(cfg: RunConfig) -> int:
         "ratio_prediction": report.ratio_prediction,
         "small_eta_prediction": report.small_eta_prediction,
     }
-    if strat.system_space.two_j % 2 == 0:
+    if fam.integer_j:  # the closed forms describe only the nonlinear state
         eta = complex(cfg.get("eta", DEFAULT_ETA))
         exact, approx = fisher.qfi_nonlinear_coherent(strat.system_space.two_j, eta)
         doc["qfi_closed_form_exact"] = exact

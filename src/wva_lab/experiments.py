@@ -16,7 +16,6 @@ the same configuration produce byte-identical output.
 from __future__ import annotations
 
 import json
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sin
@@ -162,9 +161,7 @@ def _one_record(fam: Family, two_j: int, parameter: float, g: float, eta: comple
     ps = success_probability(strat.psi_i, strat.psi_f)
     sigma = _sigma_for(fam, two_j, parameter, ps, baseline_theta)
     qfi_total = fisher.qfi_product(strat.A, strat.psi_i, strat.B, strat.phi_i)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ratio = fisher.postselected_fisher_ratio(strat, g).ratio
+    ratio = fisher.postselected_fisher_ratio(strat).ratio
     prep = meas = None
     if with_circuits:
         prep, meas = _circuit_probs(fam, strat)

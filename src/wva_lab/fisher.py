@@ -3,7 +3,7 @@ joint pre-measurement state and the share retained by the postselected meter.
 
 The postselected information I'(g) is defined here as the postselection
 probability times the pure-state QFI of the kicked-meter family in g,
-computed by central finite differences on the exact postselected state. Only
+computed from the exact g-derivative of the postselected meter state. Only
 this probability-weighted reading reproduces the one-half information ratio
 of the collective nonlinear strategy in the small-kappa, large-j regime
 (P_s * 4 A_w^2 |eta|^2 over 2 j^4 |eta|^2 -> 1/2 with A_w -> j/(2 sqrt(kappa))
@@ -19,9 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import Operator, StateVector, expectation
+from .linalg import Operator, StateVector, expectation, project_left
 from .spin import variance
-from .wva import WeakValueStrategy, postselect, with_coupling
+from .wva import WeakValueStrategy, evolved_joint
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,8 @@ def qfi_nonlinear_coherent(two_j: int, eta: complex) -> tuple[float, float]:
 def qfi_from_family(family: Callable[[float], StateVector], g: float, step: float,
                     richardson: bool = True) -> float:
     """Pure-state QFI of a normalized state family by central differences,
-    optionally Richardson-extrapolated once (step and step/2)."""
+    optionally Richardson-extrapolated once (step and step/2): the oracle the
+    exact QFIs are tested against."""
 
     def estimate(h: float) -> float:
         fp = family(g + h).amplitudes
@@ -87,14 +88,17 @@ def qfi_from_family(family: Callable[[float], StateVector], g: float, step: floa
     return (4.0 * fine - coarse) / 3.0
 
 
-def postselected_fisher_ratio(strategy: WeakValueStrategy, g: float) -> FisherReport:
-    """Fisher accounting for one strategy at impulse area g.
+def postselected_fisher_ratio(strategy: WeakValueStrategy) -> FisherReport:
+    """Fisher accounting for one strategy at its impulse area strategy.g.
 
-    qfi_total is the joint-state QFI (product form, exact); qfi_postselected
-    is P_s(g) times the kicked-meter family QFI at g (finite differences,
-    Richardson once). The step is 1e-6 * max(1, 1/|A_w|), capped at
-    1e-2 / (|eta| |A_w|) so that the extra kick of the probe points g +- step
-    stays below 1e-2 however large the weak value grows.
+    qfi_total is the joint-state QFI (product form, exact). qfi_postselected
+    is P_s(g) times the QFI of the normalized kicked-meter family at g, also
+    exact, with no finite difference: the unnormalized conditional meter is
+    c = <psi_f| exp(-i g A (x) B) |psi_i>|phi_i>, and because the unitary
+    commutes with A (x) B its g-derivative is
+    c' = -i <A psi_f| exp(-i g A (x) B) B |psi_i>|phi_i>. Then P_s = |c|^2 and
+    P_s * QFI = 4 (|c'|^2 - |<c|c'>|^2 / |c|^2), for dense or diagonal A and
+    B alike.
 
     The reported prediction (1 - |eta g A_w|^2) / 2 is the leading-order
     value in the joint limit sqrt(kappa) j -> 0, j -> infinity, not the
@@ -104,22 +108,20 @@ def postselected_fisher_ratio(strategy: WeakValueStrategy, g: float) -> FisherRe
     """
     a_w = strategy.weak_value()
     eta_abs = float(np.sqrt(max(expectation(strategy.B, strategy.phi_i).real, 0.0)))
-    kick_scale = eta_abs * g * abs(a_w)
+    kick_scale = eta_abs * strategy.g * abs(a_w)
     if kick_scale > 0.1:
         warnings.warn(f"|eta g A_w| ~ {kick_scale:.3g} above 0.1; "
                       "outside the weak-kick regime", stacklevel=2)
 
     total = qfi_product(strategy.A, strategy.psi_i, strategy.B, strategy.phi_i)
 
-    def kicked(gv: float) -> StateVector:
-        return postselect(with_coupling(strategy, gv)).kicked_meter_exact
-
-    step = 1e-6 * max(1.0, 1.0 / abs(a_w))
-    if eta_abs * abs(a_w) > 0:
-        # keep the probe points g +- step inside the weak-kick regime
-        step = min(step, 1e-2 / (eta_abs * abs(a_w)))
-    meter_qfi = qfi_from_family(kicked, g, step)
-    ps = postselect(with_coupling(strategy, g)).success_prob_exact
+    joint = evolved_joint(strategy)
+    ps, kicked, norm = project_left(joint, strategy.psi_f, strategy.meter_space.dim)
+    block = joint.amplitudes.reshape(strategy.system_space.dim, -1)
+    a_psi_f = strategy.A.entries @ strategy.psi_f.amplitudes
+    # d = c' / |c|; the normalized family's QFI is 4 (|d|^2 - |<kicked|d>|^2)
+    d = -1j * (a_psi_f.conj() @ block) @ strategy.B.entries.T / abs(norm)
+    meter_qfi = 4.0 * (float(np.real(np.vdot(d, d))) - abs(np.vdot(kicked.amplitudes, d)) ** 2)
     weighted = ps * meter_qfi
     ratio = weighted / total if total > 0 else float("inf")
 

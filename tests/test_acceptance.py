@@ -178,7 +178,7 @@ def test_criterion_5_circuit_oracle_equivalence():
 @pytest.fixture(scope="module")
 def fisher_preset():
     strat = strategy_nonlinear_joint(12, 1e-3, eta=0.05)  # j = 6
-    return strat, fisher.postselected_fisher_ratio(strat, 1e-4)
+    return strat, fisher.postselected_fisher_ratio(with_coupling(strat, 1e-4))
 
 
 def test_criterion_6a_operator_vs_finite_difference(fisher_preset):
@@ -228,7 +228,7 @@ def test_criterion_6c_postselected_ratio_at_preset(fisher_preset):
     for two_j, kappa, g in walk:
         s = strategy_nonlinear_joint(two_j, kappa, eta=0.05)
         assert 0.05 * g * abs(s.weak_value()) <= 1e-3
-        r = fisher.postselected_fisher_ratio(s, g).ratio
+        r = fisher.postselected_fisher_ratio(with_coupling(s, g)).ratio
         r_exact = nonlinear_ratio_limit(two_j, kappa, 0.05)
         ratios.append(r)
         worst = max(worst, abs(r - r_exact) / r_exact)
@@ -248,8 +248,8 @@ def test_criterion_6d_ratio_limit_as_g_to_zero(fisher_preset):
     # Richardson step in g^2 must land on R and closer than g=1e-4 alone.
     strat, _ = fisher_preset
     expected = nonlinear_ratio_limit(12, 1e-3, 0.05)
-    r_coarse = fisher.postselected_fisher_ratio(strat, 2e-4).ratio
-    r_fine = fisher.postselected_fisher_ratio(strat, 1e-4).ratio
+    r_coarse = fisher.postselected_fisher_ratio(with_coupling(strat, 2e-4)).ratio
+    r_fine = fisher.postselected_fisher_ratio(with_coupling(strat, 1e-4)).ratio
     limit = (4 * r_fine - r_coarse) / 3
     ok = abs(limit - expected) <= 1e-3 and abs(limit - expected) < abs(r_fine - expected)
     assert report("6d", ok, f"g->0 extrapolated ratio {limit:.10f} vs R = "

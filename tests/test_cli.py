@@ -140,6 +140,15 @@ def test_fisher_cli(capsys):
     assert doc["qfi_closed_form_small_eta"] == pytest.approx(6.48)
 
 
+def test_fisher_cli_linear_omits_nonlinear_closed_forms(capsys):
+    code, out = capture(capsys, ["fisher", "--two-j", "10", "--a-w", "40"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["family"] == "linear_fixed_aw"
+    assert "qfi_closed_form_exact" not in doc
+    assert "qfi_closed_form_small_eta" not in doc
+
+
 def test_dynamics_cli(capsys):
     code, out = capture(capsys, ["dynamics", "--two-j", "2", "--g0", "0.05",
                                  "--delta-minus", "1.0", "--fock-cutoff", "4",

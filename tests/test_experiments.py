@@ -55,6 +55,12 @@ def test_sweep_circuit_columns_modes():
     assert big.circuit_measure_prob == pytest.approx(0.25 * ps_exact, rel=1e-12)
 
 
+def test_sweep_reports_a_kick_outside_the_weak_regime():
+    # |eta g A_w| ~ 0.3 here; a sweep must not hide the Fisher warning
+    with pytest.warns(UserWarning, match="weak-kick"):
+        sweep("nonlinear_joint", [12], 1e-3, g=0.05, eta=0.05, with_circuits=False)
+
+
 def test_sweep_rejects_unknown_family():
     with pytest.raises(ValueError, match="unknown strategy family"):
         sweep("bogus", [4], 0.1)

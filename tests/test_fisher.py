@@ -11,7 +11,13 @@ from wva_lab.fisher import (
 )
 from wva_lab.linalg import StateVector, tensor
 from wva_lab.spin import SpinSpace, dicke_state, superpose_dicke, nonlinear_observable
-from wva_lab.wva import strategy_nonlinear_joint, strategy_uncorrelated
+from wva_lab.wva import (
+    postselect,
+    strategy_near_deterministic,
+    strategy_nonlinear_joint,
+    strategy_uncorrelated,
+    with_coupling,
+)
 
 from conftest import nonlinear_ratio_limit, random_hermitian, random_state
 
@@ -100,7 +106,7 @@ def test_postselected_ratio_preset_value():
     # (conftest.nonlinear_ratio_limit), a factor 1.0901 above the joint-limit
     # prediction of 1/2 that ratio_prediction reports.
     strat = strategy_nonlinear_joint(12, 1e-3, eta=0.05)
-    rep = postselected_fisher_ratio(strat, 1e-4)
+    rep = postselected_fisher_ratio(strat)
     assert rep.ratio == pytest.approx(0.545058, abs=1e-4)
     assert rep.ratio_prediction == pytest.approx(0.5, abs=1e-5)
     assert rep.qfi_total == pytest.approx(9.0081, rel=1e-10)
@@ -116,7 +122,7 @@ def test_postselected_ratio_grows_with_g():
     gs = (1e-4, 1e-3, 3e-3, 1e-2)
     ratios, preds = [], []
     for g in gs:
-        rep = postselected_fisher_ratio(strat, g)
+        rep = postselected_fisher_ratio(with_coupling(strat, g))
         ratios.append(rep.ratio)
         preds.append(rep.ratio_prediction)
     assert all(a < b for a, b in zip(ratios, ratios[1:]))
@@ -130,18 +136,42 @@ def test_postselected_ratio_step_shrinks_with_weak_value():
     # |A_w| ~ 3.2e6 here: a step of 1e-6 would move the probe points
     # g +- step far outside the weak-kick regime although g itself is inside.
     strat = strategy_nonlinear_joint(400, 1e-9, eta=0.05)
-    rep = postselected_fisher_ratio(strat, 1e-10)
+    rep = postselected_fisher_ratio(with_coupling(strat, 1e-10))
     assert rep.ratio == pytest.approx(nonlinear_ratio_limit(400, 1e-9, 0.05), rel=1e-6)
+
+
+ORACLE_POINTS = {
+    "nonlinear_preset": lambda: strategy_nonlinear_joint(12, 1e-3, eta=0.05, g=1e-4),
+    "near_deterministic_600": lambda: strategy_near_deterministic(600, 0.04, g=1e-6),
+    "uncorrelated_dense_a": lambda: strategy_uncorrelated(0.05, g=1e-4),
+}
+
+
+@pytest.mark.parametrize("point", ORACLE_POINTS)
+def test_postselected_ratio_matches_converged_finite_difference(point):
+    # Oracle: P_s times the Richardson-extrapolated central-difference QFI of
+    # the exact kicked meter. The probe points g +- step add phases step a n
+    # on the joint basis; at two_j=600 (a up to 90300, n up to 6) a step of
+    # 1e-6 makes them 0.54 rad and misses the exact ratio by 9.4e-7, while a
+    # step of 3e-8 keeps them below 0.02 rad.
+    strat = ORACLE_POINTS[point]()
+
+    def kicked(g):
+        return postselect(with_coupling(strat, g)).kicked_meter_exact
+
+    total = qfi_product(strat.A, strat.psi_i, strat.B, strat.phi_i)
+    oracle = postselect(strat).success_prob_exact * qfi_from_family(kicked, strat.g, 3e-8) / total
+    assert postselected_fisher_ratio(strat).ratio == pytest.approx(oracle, rel=1e-9)
 
 
 def test_postselected_ratio_warns_outside_weak_regime():
     strat = strategy_nonlinear_joint(12, 1e-3, eta=0.05)
     with pytest.warns(UserWarning, match="weak-kick"):
-        postselected_fisher_ratio(strat, 0.05)
+        postselected_fisher_ratio(with_coupling(strat, 0.05))
 
 
 def test_postselected_ratio_uncorrelated_runs():
-    rep = postselected_fisher_ratio(strategy_uncorrelated(0.1), 1e-4)
+    rep = postselected_fisher_ratio(strategy_uncorrelated(0.1))
     assert rep.qfi_total > 0
     assert 0 < rep.ratio < 1.5
 
