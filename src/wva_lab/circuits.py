@@ -187,15 +187,20 @@ def prep_circuit(two_j: int, m1: float, m2: float, alpha: complex, beta: complex
     )
 
 
+def _plus_all_weight(two_j: int, index: int) -> float:
+    """|<+^(2j)|j,m>|^2 = C(2j, j+m) / 2^(2j) for the level at `index`, by
+    exact integer division (correctly rounded; a float power of two times the
+    binomial overflows from two_j ~ 1030)."""
+    return comb(two_j, two_j - index) / (1 << two_j)
+
+
 def prep_probability_analytic(two_j: int, m1: float, m2: float,
                               zeta_kind: str = "plus_all") -> float:
     """Closed-form preparation success weight |<j,m1|zeta>|^2 |<j,m2|zeta>|^2,
     valid for any register size."""
     space = SpinSpace(two_j)
     if zeta_kind == "plus_all":
-        # |<+^(2j)|j,m>|^2 = 2^(-2j) C(2j, j+m)
-        w1 = 2.0 ** (-two_j) * comb(two_j, two_j - space.index_of(m1))
-        w2 = 2.0 ** (-two_j) * comb(two_j, two_j - space.index_of(m2))
+        w1, w2 = (_plus_all_weight(two_j, space.index_of(m)) for m in (m1, m2))
         return w1 * w2
     if zeta_kind == "dicke_superposition":
         return 0.25
@@ -213,10 +218,10 @@ def prep_probability_conventions(two_j: int) -> dict:
     """
     if two_j % 2 != 0:
         raise ValueError("the standard configuration needs integer j (even two_j)")
-    j_plus_m = two_j // 2
+    central, scale = comb(two_j, two_j // 2), 1 << (2 * two_j)
     return {
-        "normalized_dicke": 2.0 ** (-2 * two_j) * comb(two_j, j_plus_m),
-        "unnormalized_dicke": 2.0 ** (-2 * two_j) * comb(two_j, j_plus_m) ** 2,
+        "normalized_dicke": central / scale,
+        "unnormalized_dicke": central**2 / scale,
     }
 
 
@@ -291,8 +296,7 @@ def measure_probability_analytic(two_j: int, joint_state: StateVector, m1: float
     if isinstance(zeta, ReferenceState):
         w1, w2 = abs(reference_overlap(zeta, m1)), abs(reference_overlap(zeta, m2))
     elif zeta == "plus_all":
-        w1 = sqrt(2.0 ** (-two_j) * comb(two_j, two_j - space.index_of(m1)))
-        w2 = sqrt(2.0 ** (-two_j) * comb(two_j, two_j - space.index_of(m2)))
+        w1, w2 = (sqrt(_plus_all_weight(two_j, space.index_of(m))) for m in (m1, m2))
     elif zeta == "dicke_superposition":
         w1 = w2 = 1.0 / sqrt(2.0)
     else:
@@ -333,7 +337,7 @@ def overlap_expansion_check(two_j: int, kappa: float, g: float,
 
     a_w = 0.5 * (j**2 + 2 * j + j / sqrt(kappa))
     prefactor = sqrt(kappa) * j / sqrt(1.0 + kappa * j**2)
-    n_diag = np.diag(strat.B.entries).real
+    n_diag = strat.B.entries.real
     rhs = prefactor * np.conj(strat.phi_i.amplitudes) * np.exp(1j * g * a_w * n_diag)
 
     dev = np.abs(lhs - rhs)

@@ -122,7 +122,7 @@ def conserved_charge(params: TwoPhotonTCParams) -> Operator:
 def conservation_residual(params: TwoPhotonTCParams, t: float = 0.237) -> float:
     """max |[H(t), 2Jz + n]| entrywise at one (arbitrary) time."""
     h = hamiltonian_full(params, t).entries
-    q = np.diag(conserved_charge(params).entries).real
+    q = conserved_charge(params).entries.real
     comm = h * q[None, :] - q[:, None] * h
     return float(np.max(np.abs(comm)))
 
@@ -190,7 +190,7 @@ def effective_generator_diag(params: TwoPhotonTCParams,
     """
     space = SpinSpace(params.two_j)
     nm = params.fock_cutoff + 1
-    a_diag = np.diag(nonlinear_observable(space).entries).real
+    a_diag = nonlinear_observable(space).entries.real
     m = space.m_values()
     n = np.arange(nm, dtype=float)
     if include_commutator_terms:
@@ -270,7 +270,7 @@ def charge_drift(params: TwoPhotonTCParams, trace: EvolutionTrace) -> float:
     """Max drift of <2 Jz + n> along the stored full trajectory."""
     if trace.full_states is None:
         raise ValueError("trace has no full states")
-    q = np.diag(conserved_charge(params).entries).real
+    q = conserved_charge(params).entries.real
     vals = []
     for s in trace.full_states:
         amps = s.amplitudes

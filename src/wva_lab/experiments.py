@@ -9,8 +9,11 @@ sigma ~ j; "fixed_per_probe_success" compares against an uncorrelated probe
 whose success probability is held fixed across j (postselection angle
 BASELINE_THETA), the at-least-one-click comparison.
 
-Everything is closed-form or deterministic dense arithmetic; two runs with
-the same configuration produce byte-identical output.
+Everything is closed-form or deterministic arithmetic; two runs with the
+same configuration produce byte-identical output. The collective families'
+observables are diagonal and stored as vectors, so one record costs O(two_j)
+memory (circuits take their closed form beyond the register cap), and the
+sweeps reach two_j = 10^5.
 """
 
 from __future__ import annotations

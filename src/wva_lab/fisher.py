@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import Operator, StateVector, expectation, project_left
+from .linalg import Operator, StateVector, apply, expectation, project_left
 from .spin import variance
 from .wva import WeakValueStrategy, evolved_joint
 
@@ -47,8 +47,9 @@ def qfi_product(A: Operator, psi: StateVector, B: Operator, phi: StateVector) ->
     joint operator: 4 [<A^2><B^2> - (<A><B>)^2]."""
     a1 = expectation(A, psi).real
     b1 = expectation(B, phi).real
-    a2 = float(np.real(np.vdot(A.entries @ psi.amplitudes, A.entries @ psi.amplitudes)))
-    b2 = float(np.real(np.vdot(B.entries @ phi.amplitudes, B.entries @ phi.amplitudes)))
+    a_psi, b_phi = apply(A, psi).amplitudes, apply(B, phi).amplitudes
+    a2 = float(np.real(np.vdot(a_psi, a_psi)))
+    b2 = float(np.real(np.vdot(b_phi, b_phi)))
     return 4.0 * (a2 * b2 - (a1 * b1) ** 2)
 
 
@@ -118,9 +119,9 @@ def postselected_fisher_ratio(strategy: WeakValueStrategy) -> FisherReport:
     joint = evolved_joint(strategy)
     ps, kicked, norm = project_left(joint, strategy.psi_f, strategy.meter_space.dim)
     block = joint.amplitudes.reshape(strategy.system_space.dim, -1)
-    a_psi_f = strategy.A.entries @ strategy.psi_f.amplitudes
+    a_psi_f = apply(strategy.A, strategy.psi_f).amplitudes
     # d = c' / |c|; the normalized family's QFI is 4 (|d|^2 - |<kicked|d>|^2)
-    d = -1j * (a_psi_f.conj() @ block) @ strategy.B.entries.T / abs(norm)
+    d = -1j * (a_psi_f.conj() @ block) @ strategy.B.dense().T / abs(norm)
     meter_qfi = 4.0 * (float(np.real(np.vdot(d, d))) - abs(np.vdot(kicked.amplitudes, d)) ** 2)
     weighted = ps * meter_qfi
     ratio = weighted / total if total > 0 else float("inf")

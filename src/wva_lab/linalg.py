@@ -1,10 +1,15 @@
-"""Dense complex linear-algebra substrate: state vectors, Hermitian operators,
+"""Complex linear-algebra substrate: state vectors, Hermitian operators,
 tensor products, eigendecomposition, matrix exponentials, projections.
 
 All objects are immutable after construction (arrays are frozen), so values
 can be shared freely across threads. Every operation is a pure function.
-Dense storage only; the dimensions used here stay small enough that exactness
-and simplicity beat sparsity.
+An operator is stored in one of two forms, chosen here: a diagonal operator
+as its length-dim diagonal, every other operator as its dense dim x dim
+matrix. `apply`, `expectation`, `tensor` and `expm_i` work elementwise on a
+diagonal, so no dim x dim array exists for it; `Operator.dense()` builds the
+matrix where one is really needed (dense products, eigendecomposition, test
+oracles). Elsewhere, `entries` is read as the diagonal only where `diagonal`
+is set.
 """
 
 from __future__ import annotations
@@ -83,10 +88,12 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense complex matrix on a declared space.
+    """Complex operator on a declared space.
 
-    `hermitian` is validated at construction. `diagonal` marks operators whose
-    off-diagonal entries are exactly zero, enabling O(dim) evolution paths.
+    A `diagonal` operator stores only its diagonal: `entries` is a length-dim
+    vector, so O(dim) memory and elementwise products. Any other operator
+    stores its dim x dim matrix. `hermitian` is validated at construction; for
+    a diagonal operator it means the diagonal is real.
     """
 
     dim: int
@@ -95,16 +102,18 @@ class Operator:
     diagonal: bool = False
 
     def __post_init__(self):
-        mat = _frozen_array(self.entries)
-        if mat.shape != (self.dim, self.dim):
-            raise ValueError(f"entries must be {self.dim}x{self.dim}")
+        arr = _frozen_array(self.entries)
+        shape = (self.dim,) if self.diagonal else (self.dim, self.dim)
+        if arr.shape != shape:
+            raise ValueError(f"entries must have shape {shape}")
         if self.hermitian:
-            resid = np.max(np.abs(mat - mat.conj().T))
+            # a diagonal is Hermitian when it is real
+            what, off = (("Im diag", arr.imag) if self.diagonal
+                         else ("M - M^dag", arr - arr.conj().T))
+            resid = np.max(np.abs(off), initial=0.0)
             if resid > HERMITICITY_TOL:
-                raise ValueError(f"operator marked hermitian but |M - M^dag| = {resid:.3e}")
-        if self.diagonal and np.count_nonzero(mat - np.diag(np.diag(mat))):
-            raise ValueError("operator marked diagonal but has off-diagonal entries")
-        object.__setattr__(self, "entries", mat)
+                raise ValueError(f"operator marked hermitian but |{what}| = {resid:.3e}")
+        object.__setattr__(self, "entries", arr)
 
     @classmethod
     def from_matrix(cls, values, hermitian: bool = False) -> "Operator":
@@ -114,18 +123,22 @@ class Operator:
     @classmethod
     def from_diagonal(cls, diag_values) -> "Operator":
         d = np.asarray(diag_values, dtype=complex)
-        herm = bool(np.max(np.abs(d.imag)) <= HERMITICITY_TOL) if d.size else True
-        return cls(dim=d.shape[0], entries=np.diag(d), hermitian=herm, diagonal=True)
+        herm = bool(np.max(np.abs(d.imag), initial=0.0) <= HERMITICITY_TOL)
+        return cls(dim=d.shape[0], entries=d, hermitian=herm, diagonal=True)
 
     @classmethod
     def identity(cls, dim: int) -> "Operator":
-        return cls(dim=dim, entries=np.eye(dim, dtype=complex), hermitian=True, diagonal=True)
+        return cls(dim=dim, entries=np.ones(dim, dtype=complex), hermitian=True, diagonal=True)
 
-    def diagonal_values(self) -> np.ndarray:
-        return np.diag(self.entries)
+    def dense(self) -> np.ndarray:
+        """The read-only dim x dim matrix, built on demand for a diagonal operator."""
+        if not self.diagonal:
+            return self.entries
+        return _frozen_array(np.diag(self.entries))
 
     def dagger(self) -> "Operator":
-        return Operator(self.dim, self.entries.conj().T, self.hermitian, self.diagonal)
+        conj = self.entries.conj() if self.diagonal else self.entries.conj().T
+        return Operator(self.dim, conj, self.hermitian, self.diagonal)
 
 
 class Projection(NamedTuple):
@@ -145,6 +158,8 @@ def apply(op: Operator, state: StateVector) -> StateVector:
     """Matrix-vector product; result is generally unnormalized."""
     if op.dim != state.dim:
         raise ValueError("dimension mismatch in apply")
+    if op.diagonal:
+        return StateVector.unnormalized(op.entries * state.amplitudes)
     return StateVector.unnormalized(op.entries @ state.amplitudes)
 
 
@@ -153,7 +168,7 @@ def expectation(op: Operator, state: StateVector) -> complex:
         raise ValueError("dimension mismatch in expectation")
     amps = state.amplitudes
     if op.diagonal:
-        return complex(np.sum(np.abs(amps) ** 2 * np.diag(op.entries)))
+        return complex(np.sum(np.abs(amps) ** 2 * op.entries))
     return complex(np.vdot(amps, op.entries @ amps))
 
 
@@ -169,11 +184,12 @@ def tensor(a, b, max_dim: int = DEFAULT_MAX_TENSOR_DIM):
             normalized=a.normalized and b.normalized,
         )
     if isinstance(a, Operator) and isinstance(b, Operator):
+        diagonal = a.diagonal and b.diagonal
         return Operator(
             dim=joint,
-            entries=np.kron(a.entries, b.entries),
+            entries=np.kron(a.entries, b.entries) if diagonal else np.kron(a.dense(), b.dense()),
             hermitian=a.hermitian and b.hermitian,
-            diagonal=a.diagonal and b.diagonal,
+            diagonal=diagonal,
         )
     raise TypeError("tensor needs two StateVectors or two Operators")
 
@@ -182,7 +198,7 @@ def eig_hermitian(op: Operator):
     """Eigenvalues (ascending) and unitary eigenvector matrix of a Hermitian operator."""
     if not op.hermitian:
         raise ValueError("eig_hermitian requires a Hermitian operator")
-    evals, evecs = np.linalg.eigh(op.entries)
+    evals, evecs = np.linalg.eigh(op.dense())
     return evals, evecs
 
 
@@ -191,8 +207,7 @@ def expm_i(op: Operator, s: float) -> Operator:
     if not op.hermitian:
         raise ValueError("expm_i requires a Hermitian operator")
     if op.diagonal:
-        phases = np.exp(-1j * s * np.diag(op.entries).real)
-        return Operator(op.dim, np.diag(phases), hermitian=False, diagonal=True)
+        return Operator(op.dim, np.exp(-1j * s * op.entries.real), hermitian=False, diagonal=True)
     evals, evecs = np.linalg.eigh(op.entries)
     mat = (evecs * np.exp(-1j * s * evals)) @ evecs.conj().T
     return Operator(op.dim, mat, hermitian=False)

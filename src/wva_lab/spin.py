@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Operator, StateVector, expectation
+from .linalg import Operator, StateVector, apply, expectation
 
 VALID_KINDS = ("jz", "jplus", "jminus", "j2", "nonlinear")
 
@@ -121,12 +121,12 @@ def variance(op: Operator, state: StateVector) -> float:
     if not op.hermitian:
         raise ValueError("variance requires a Hermitian operator")
     if op.diagonal:
-        d = np.diag(op.entries).real
+        d = op.entries.real
         w = np.abs(state.amplitudes) ** 2
         mean = float(np.sum(w * d))
         second = float(np.sum(w * d**2))
     else:
         mean = expectation(op, state).real
-        second = float(np.real(np.vdot(op.entries @ state.amplitudes,
-                                       op.entries @ state.amplitudes)))
+        a_psi = apply(op, state).amplitudes
+        second = float(np.real(np.vdot(a_psi, a_psi)))
     return max(second - mean**2, 0.0)

@@ -275,7 +275,7 @@ def _first_order_kick(strategy: WeakValueStrategy, a_w: complex) -> StateVector:
     """exp(-i g A_w B)|phi_i>, renormalized. Non-unitary when Im A_w != 0."""
     B, phi = strategy.B, strategy.phi_i
     if B.diagonal:
-        kicked = phi.amplitudes * np.exp(-1j * strategy.g * a_w * np.diag(B.entries))
+        kicked = phi.amplitudes * np.exp(-1j * strategy.g * a_w * B.entries)
     else:
         evals, evecs = np.linalg.eigh(B.entries)
         kicked = (evecs * np.exp(-1j * strategy.g * a_w * evals)) @ (evecs.conj().T @ phi.amplitudes)
@@ -290,15 +290,15 @@ def evolved_joint(strategy: WeakValueStrategy) -> StateVector:
     if dim_s * dim_m > DEFAULT_MAX_TENSOR_DIM:
         raise ValueError("joint dimension exceeds the configured maximum")
     if strategy.A.diagonal and strategy.B.diagonal:
-        a_diag = np.diag(strategy.A.entries).real
-        b_diag = np.diag(strategy.B.entries).real
+        a_diag = strategy.A.entries.real
+        b_diag = strategy.B.entries.real
         block = np.outer(strategy.psi_i.amplitudes, strategy.phi_i.amplitudes)
         block = block * np.exp(-1j * strategy.g * np.outer(a_diag, b_diag))
         return StateVector(dim=dim_s * dim_m, amplitudes=block.ravel())
     u = expm_i(tensor(strategy.A, strategy.B), strategy.g)
     return StateVector(
         dim=dim_s * dim_m,
-        amplitudes=u.entries @ tensor(strategy.psi_i, strategy.phi_i).amplitudes,
+        amplitudes=apply(u, tensor(strategy.psi_i, strategy.phi_i)).amplitudes,
     )
 
 
@@ -332,7 +332,7 @@ def meter_readout(result: PostselectionResult, R: Operator,
         raise ValueError("meter observable must be Hermitian")
     exact = (expectation(R, result.kicked_meter_exact).real
              - expectation(R, strategy.phi_i).real)
-    rb = Operator(R.dim, R.entries @ strategy.B.entries)
+    rb = Operator(R.dim, R.dense() @ strategy.B.dense())
     alpha = expectation(rb, strategy.phi_i)
     formula = 2.0 * strategy.g * result.weak_value.imag * alpha.real
     return exact, formula

@@ -189,7 +189,7 @@ def test_criterion_6a_operator_vs_finite_difference(fisher_preset):
     h = tensor(strat.A, strat.B)
     psi = tensor(strat.psi_i, strat.phi_i)
     operator_based = fisher.qfi_pure_generator(h, psi)
-    evals, vecs = np.linalg.eigh(h.entries)
+    evals, vecs = np.linalg.eigh(h.dense())
 
     def family(g):
         return StateVector.of((vecs * np.exp(-1j * g * evals))

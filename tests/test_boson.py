@@ -31,7 +31,7 @@ def test_coherent_moments_closed_form():
     eta = 0.3 * np.exp(0.4j)
     st = coherent_state(sp, eta)
     n = op_number(sp)
-    n2 = np.diag(np.diag(n.entries) ** 2)
+    n2 = np.diag(np.diag(n.dense()) ** 2)
     lam = abs(eta) ** 2
     assert expectation(n, st).real == pytest.approx(lam, abs=1e-10)
     mean_n2 = float(np.sum(np.abs(st.amplitudes) ** 2 * np.diag(n2).real))
@@ -75,7 +75,7 @@ def test_ladder_arithmetic():
     expect[2] = np.sqrt(2)
     np.testing.assert_allclose(two, expect, atol=1e-15)
     # a^dag a = n exactly on the truncated space
-    np.testing.assert_allclose(ad.entries @ a.entries, op_number(sp).entries, atol=1e-12)
+    np.testing.assert_allclose(ad.entries @ a.entries, op_number(sp).dense(), atol=1e-12)
 
 
 def test_commutator_truncation_artifact():
@@ -89,7 +89,7 @@ def test_commutator_truncation_artifact():
 
 def test_number_commutes_with_functions_of_n():
     sp = FockSpace(7)
-    n = op_number(sp).entries
+    n = op_number(sp).dense()
     f = np.diag(np.exp(0.3 * np.arange(8)) + np.arange(8) ** 2)
     assert np.max(np.abs(n @ f - f @ n)) < 1e-12
 

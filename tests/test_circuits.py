@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb, sqrt
 
 import numpy as np
@@ -220,3 +221,23 @@ def test_overlap_expansion_deviation_quadratic_in_g():
     devs = [C.overlap_expansion_check(8, 1e-3, g).max_abs_deviation for g in gs]
     slope = np.polyfit(np.log(gs), np.log(devs), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.1)
+
+
+@pytest.mark.parametrize("two_j", [4, 100, 400, 600, 1000, 1030, 1100, 2000])
+def test_closed_form_weights_are_correctly_rounded(two_j):
+    # oracle: the exact rational weight, rounded once by Fraction -> float
+    j = two_j // 2
+    central = Fraction(comb(two_j, j), 2**two_j)
+    edge = Fraction(1, 2**two_j)
+    assert C.prep_probability_analytic(two_j, 0, -j) == float(central) * float(edge)
+    conv = C.prep_probability_conventions(two_j)
+    assert conv["normalized_dicke"] == float(central * edge)
+    assert conv["unnormalized_dicke"] == float(central**2)
+    strat = strategy_nonlinear_joint(two_j, 0.01 / j**2, g=0.0)
+    joint = evolved_joint(strat)
+    meter_dim = strat.meter_space.dim
+    got, _ = C.measure_probability_analytic(two_j, joint, 0, -j, 1.0, 1.0, "plus_all", meter_dim)
+    assert np.isfinite(got)
+    if two_j <= 400:  # where the weights are normal, the old float formula agrees bit for bit
+        assert conv["normalized_dicke"] == 2.0 ** (-2 * two_j) * comb(two_j, j)
+        assert conv["unnormalized_dicke"] == 2.0 ** (-2 * two_j) * comb(two_j, j) ** 2

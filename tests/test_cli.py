@@ -249,3 +249,24 @@ def test_config_switch_json_boolean(tmp_path, capsys):
     assert _run_config(tmp_path, "scaling", {**SCALING, "no_circuits": False}) == 0
     assert all(r["prep_prob"] is not None
                for r in json.loads(capsys.readouterr().out)["records"])
+
+
+def test_scaling_near_deterministic_beyond_two_j_1000(capsys):
+    # the closed-form circuit weights once overflowed from two_j ~ 1030
+    code, out = capture(capsys, ["scaling", "--family", "near-deterministic",
+                                 "--epsilon", "0.04", "--j-min", "1000", "--j-max", "1100",
+                                 "--j-step", "100", "--g", "1e-7"])
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert [r["two_j"] for r in records] == [1000, 1100]
+    assert all(r["prep_prob"] is not None and r["measure_prob"] > 0 for r in records)
+
+
+def test_circuit_prep_analytic_two_j_600(capsys):
+    # C(600, 300)^2 overflows a float; the convention weights must not
+    code, out = capture(capsys, ["circuit-prep", "--two-j", "600", "--m1", "0",
+                                 "--m2", "-300", "--analytic"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["analytic_prob"] == doc["overlap_conventions"]["normalized_dicke"] > 0
+    assert 0 < doc["overlap_conventions"]["unnormalized_dicke"] < 1

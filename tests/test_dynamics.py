@@ -233,7 +233,7 @@ def test_effective_phases_match_eig_expm():
     h = type(h)(h.dim, p.g_dispersive * h.entries, hermitian=True, diagonal=True)
     t = 1.73
     u = expm_i(h, t)
-    np.testing.assert_allclose(np.diag(u.entries), effective_phases(p, t), atol=1e-12)
+    np.testing.assert_allclose(np.diag(u.dense()), effective_phases(p, t), atol=1e-12)
 
 
 def test_effective_populations_conserved():

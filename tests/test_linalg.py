@@ -40,7 +40,7 @@ def test_values_are_immutable():
         sv.amplitudes[1] = 1.0
     op = Operator.identity(2)
     with pytest.raises(ValueError):
-        op.entries[0, 1] = 1.0
+        op.dense()[0, 1] = 1.0
 
 
 def test_operator_hermiticity_checked():
@@ -51,7 +51,7 @@ def test_operator_hermiticity_checked():
 def test_tensor_identity_case():
     t = tensor(Operator.identity(2), Operator.identity(3))
     assert t.dim == 6
-    np.testing.assert_allclose(t.entries, np.eye(6))
+    np.testing.assert_allclose(t.dense(), np.eye(6))
     assert t.diagonal and t.hermitian
 
 
@@ -125,7 +125,7 @@ def test_expm_zero_is_identity(rng):
 
 def test_expm_diagonal_phases():
     u = expm_i(Operator.from_diagonal([0.0, 1.0]), np.pi)
-    np.testing.assert_allclose(np.diag(u.entries), [1.0, -1.0], atol=1e-12)
+    np.testing.assert_allclose(np.diag(u.dense()), [1.0, -1.0], atol=1e-12)
     assert u.diagonal
 
 
@@ -140,7 +140,7 @@ def test_expm_diagonal_and_dense_paths_agree(rng):
     fast = expm_i(Operator.from_diagonal(d), 1.37)
     slow = expm_i(Operator(9, np.diag(d).astype(complex), hermitian=True), 1.37)
     assert fast.diagonal and not slow.diagonal
-    np.testing.assert_allclose(fast.entries, slow.entries, atol=1e-12)
+    np.testing.assert_allclose(fast.dense(), slow.entries, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -183,6 +183,6 @@ def test_project_left_null():
 def test_apply_and_expectation_diagonal_path(rng):
     op = Operator.from_diagonal([1.0, 2.0, 3.0])
     sv = random_state(rng, 3)
-    dense = Operator(3, np.asarray(op.entries), hermitian=True)
+    dense = Operator(3, op.dense(), hermitian=True)
     assert expectation(op, sv) == pytest.approx(expectation(dense, sv))
-    np.testing.assert_allclose(apply(op, sv).amplitudes, op.entries @ sv.amplitudes)
+    np.testing.assert_allclose(apply(op, sv).amplitudes, op.dense() @ sv.amplitudes)

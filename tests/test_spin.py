@@ -60,14 +60,14 @@ def test_jz_action():
         jz = collective_op(sp, "jz").matrix
         for m in sp.m_values():
             st = dicke_state(sp, m)
-            np.testing.assert_allclose(jz.entries @ st.amplitudes,
+            np.testing.assert_allclose(jz.dense() @ st.amplitudes,
                                        m * st.amplitudes, atol=1e-14)
 
 
 def test_nonlinear_eigenvalues():
     sp = SpinSpace(6)  # j = 3
     a = nonlinear_observable(sp)
-    d = np.diag(a.entries).real
+    d = np.diag(a.dense()).real
     assert d[sp.index_of(0)] == pytest.approx(12.0)
     assert d[sp.index_of(3)] == pytest.approx(3.0)
     assert d[sp.index_of(-3)] == pytest.approx(3.0)
@@ -79,8 +79,8 @@ def test_ladder_identities(two_j):
     sp = SpinSpace(two_j)
     jp = collective_op(sp, "jplus").matrix.entries
     jm = collective_op(sp, "jminus").matrix.entries
-    jz = collective_op(sp, "jz").matrix.entries
-    j2 = collective_op(sp, "j2").matrix.entries
+    jz = collective_op(sp, "jz").matrix.dense()
+    j2 = collective_op(sp, "j2").matrix.dense()
     assert np.max(np.abs(jp.conj().T - jm)) < 1e-12
     assert np.max(np.abs(jp @ jm - jm @ jp - 2 * jz)) < 1e-10
     assert np.max(np.abs(jm @ jp + jz @ jz + jz - j2)) < 1e-10
@@ -90,7 +90,7 @@ def test_ladder_identities(two_j):
 def test_nonlinear_spectrum_bounds(two_j):
     sp = SpinSpace(two_j)
     j = sp.j
-    d = np.diag(nonlinear_observable(sp).entries).real
+    d = np.diag(nonlinear_observable(sp).dense()).real
     assert d.min() == pytest.approx(j)
     assert d.max() == pytest.approx(j * (j + 1))
     assert d[sp.index_of(j)] == pytest.approx(j)

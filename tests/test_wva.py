@@ -333,7 +333,7 @@ def test_postselect_fidelity_bound_on_presets():
     for strat in presets:
         res = postselect(strat)
         aw = abs(res.weak_value)
-        b_norm = float(np.max(np.abs(np.diag(strat.B.entries))))
+        b_norm = float(np.max(np.abs(np.diag(strat.B.dense()))))
         bound = 1 - 10 * (strat.g * aw * b_norm) ** 2
         assert res.fidelity_exact_vs_firstorder > bound
 
@@ -388,8 +388,8 @@ def test_postselect_diagonal_and_dense_paths_agree():
     import dataclasses
 
     strat = strategy_nonlinear_joint(6, 1e-3, g=2e-4)
-    dense_a = Operator(strat.A.dim, np.asarray(strat.A.entries), hermitian=True)
-    dense_b = Operator(strat.B.dim, np.asarray(strat.B.entries), hermitian=True)
+    dense_a = Operator(strat.A.dim, strat.A.dense(), hermitian=True)
+    dense_b = Operator(strat.B.dim, strat.B.dense(), hermitian=True)
     dense = dataclasses.replace(strat, A=dense_a, B=dense_b)
     fast = postselect(strat)
     slow = postselect(dense)
@@ -406,9 +406,9 @@ def test_postselect_diagonal_and_dense_paths_agree():
 def test_evolved_joint_matches_dense_oracle(strat):
     # oracle: exp(-i g A (x) B) assembled densely, applied to psi_i (x) phi_i
     u = expm_i(tensor(strat.A, strat.B), strat.g)
-    oracle = u.entries @ tensor(strat.psi_i, strat.phi_i).amplitudes
+    oracle = u.dense() @ tensor(strat.psi_i, strat.phi_i).amplitudes
     # the phase path, and the eigendecomposition path on an A not marked diagonal
-    dense_a = Operator(strat.A.dim, np.asarray(strat.A.entries), hermitian=True)
+    dense_a = Operator(strat.A.dim, strat.A.dense(), hermitian=True)
     for s in (strat, dataclasses.replace(strat, A=dense_a)):
         np.testing.assert_allclose(evolved_joint(s).amplitudes, oracle, rtol=0, atol=1e-13)
 
@@ -427,6 +427,6 @@ def test_strategy_meter_defaults():
     for n in range(1, 4):
         assert amps[n] / amps[n - 1] == pytest.approx(0.1 / np.sqrt(n), rel=1e-12)
     # meter observable is the (diagonal) number operator
-    np.testing.assert_allclose(np.diag(strat.B.entries).real,
+    np.testing.assert_allclose(np.diag(strat.B.dense()).real,
                                np.arange(strat.meter_space.dim))
     assert strat.B.diagonal
