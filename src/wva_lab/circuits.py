@@ -74,7 +74,6 @@ class PrepCircuitResult:
     output_system: StateVector
     success_prob: float
     ancilla_normalized_prob: float
-    analytic_prob: float
     leakage: float
 
 
@@ -82,7 +81,6 @@ class PrepCircuitResult:
 class MeasureCircuitResult:
     p_tilde: float
     conditional_meter: StateVector
-    analytic_p_tilde: float
 
 
 def _check_register(two_j: int):
@@ -92,6 +90,13 @@ def _check_register(two_j: int):
         raise ValueError(
             f"register too large for full-amplitude simulation (two_j = {two_j} > "
             f"{MAX_REGISTER_TWO_J}); use the analytic-overlap functions instead")
+
+
+def _check_levels(m1: float, m2: float):
+    # with one level the two control-SWAP branches interfere and the
+    # overlap product is not the preparation weight
+    if m1 == m2:
+        raise ValueError("m1 and m2 must be two different Dicke levels")
 
 
 def embed_dicke(two_j: int, m: float) -> StateVector:
@@ -150,6 +155,7 @@ def prep_circuit(two_j: int, m1: float, m2: float, alpha: complex, beta: complex
     equal superposition.
     """
     _check_register(two_j)
+    _check_levels(m1, m2)
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
         raise ValueError("|alpha|^2 + |beta|^2 must be 1")
     z1 = reference_overlap(zeta, m1)
@@ -171,7 +177,6 @@ def prep_circuit(two_j: int, m1: float, m2: float, alpha: complex, beta: complex
     middle = np.einsum("a,aik,k->i", w, block, zeta.vector.amplitudes.conj())
     success = float(np.vdot(middle, middle).real)
     ancilla_normalized = success / float(w @ w)
-    analytic = abs(z1) ** 2 * abs(z2) ** 2
 
     space = SpinSpace(two_j)
     coeffs = np.zeros(space.dim, dtype=complex)
@@ -182,7 +187,6 @@ def prep_circuit(two_j: int, m1: float, m2: float, alpha: complex, beta: complex
         output_system=StateVector.of(coeffs),
         success_prob=success,
         ancilla_normalized_prob=ancilla_normalized,
-        analytic_prob=analytic,
         leakage=max(leakage, 0.0),
     )
 
@@ -197,14 +201,22 @@ def _plus_all_weight(two_j: int, index: int) -> float:
 def prep_probability_analytic(two_j: int, m1: float, m2: float,
                               zeta_kind: str = "plus_all") -> float:
     """Closed-form preparation success weight |<j,m1|zeta>|^2 |<j,m2|zeta>|^2,
-    valid for any register size."""
+    valid for any register size.
+
+    For |+>^(2j) the level farther from m = 0 has the smaller weight, so it
+    is evaluated first: where it underflows the product is 0.0 and the
+    other level's binomial (C(2j, j) at m = 0) is never built."""
+    _check_levels(m1, m2)
     space = SpinSpace(two_j)
     if zeta_kind == "plus_all":
-        w1, w2 = (_plus_all_weight(two_j, space.index_of(m)) for m in (m1, m2))
-        return w1 * w2
+        near, far = sorted((m1, m2), key=abs)
+        w_far = _plus_all_weight(two_j, space.index_of(far))
+        if w_far == 0.0:
+            return 0.0
+        return w_far * _plus_all_weight(two_j, space.index_of(near))
     if zeta_kind == "dicke_superposition":
         return 0.25
-    raise ValueError(f"unknown reference kind {zeta_kind!r}")
+    raise ValueError(f"unknown reference kind {zeta_kind!r}; valid: {REFERENCE_KINDS}")
 
 
 def prep_probability_conventions(two_j: int) -> dict:
@@ -270,41 +282,32 @@ def measure_circuit(two_j: int, joint_state: StateVector, m1: float, m2: float,
     emb2 = embed_dicke(two_j, m2).amplitudes
     meter = np.einsum("a,aikf,i,k->f", nu.conj(), swapped, emb1.conj(), emb2.conj())
     p_tilde = float(np.vdot(meter, meter).real)
-
-    analytic, _ = measure_probability_analytic(
-        two_j, joint_state, m1, m2, alpha, beta, zeta, meter_dim)
     if p_tilde < 1e-300:
         raise ValueError("measurement probability underflow")
-    return MeasureCircuitResult(
-        p_tilde=p_tilde,
-        conditional_meter=StateVector.of(meter),
-        analytic_p_tilde=analytic,
-    )
+    return MeasureCircuitResult(p_tilde=p_tilde, conditional_meter=StateVector.of(meter))
 
 
-def measure_probability_analytic(two_j: int, joint_state: StateVector, m1: float,
-                                 m2: float, alpha: complex, beta: complex,
-                                 zeta: ReferenceState | str, meter_dim: int):
-    """Closed-form measurement probability and conditional meter amplitudes:
-    prefactor |z1|^2 |z2|^2 / (|z1|^2 + |z2|^2) times
-    ||conj(alpha) <j,m1|Psi> + conj(beta) <j,m2|Psi>||^2.
+def measure_probability_analytic(two_j: int, m1: float, m2: float,
+                                 zeta: ReferenceState | str, success_prob: float) -> float:
+    """Closed-form measurement probability: the reference-overlap prefactor
+    |z1|^2 |z2|^2 / (|z1|^2 + |z2|^2) times the exact postselection
+    probability P_s = ||<psi_f|Psi>||^2 of a target ket psi_f supported on
+    |j,m1> and |j,m2> (`measure_circuit` implements |psi_f><psi_f| on the
+    system, so only the prefactor depends on the circuit).
 
     Accepts a reference kind string so it works beyond the full-amplitude
     register cap.
     """
-    space = SpinSpace(two_j)
     if isinstance(zeta, ReferenceState):
-        w1, w2 = abs(reference_overlap(zeta, m1)), abs(reference_overlap(zeta, m2))
+        p1, p2 = (abs(reference_overlap(zeta, m)) ** 2 for m in (m1, m2))
     elif zeta == "plus_all":
-        w1, w2 = (sqrt(_plus_all_weight(two_j, space.index_of(m))) for m in (m1, m2))
+        space = SpinSpace(two_j)
+        p1, p2 = (_plus_all_weight(two_j, space.index_of(m)) for m in (m1, m2))
     elif zeta == "dicke_superposition":
-        w1 = w2 = 1.0 / sqrt(2.0)
+        p1 = p2 = 0.5
     else:
-        raise ValueError(f"unknown reference kind {zeta!r}")
-    prefactor = (w1**2 * w2**2) / (w1**2 + w2**2)
-    block = joint_state.amplitudes.reshape(space.dim, meter_dim)
-    amp = np.conj(alpha) * block[space.index_of(m1)] + np.conj(beta) * block[space.index_of(m2)]
-    return prefactor * float(np.vdot(amp, amp).real), amp
+        raise ValueError(f"unknown reference kind {zeta!r}; valid: {REFERENCE_KINDS}")
+    return p1 * p2 / (p1 + p2) * success_prob
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import circuits, dynamics, experiments, fisher
 from .boson import coherent_state, FockSpace
-from .linalg import NullPostselectionError, StateVector
+from .experiments import _round12
+from .linalg import NullPostselectionError, StateVector, fidelity, project_left
 from .spin import SpinSpace, dicke_state
 from .wva import (
     BASELINE_THETA,
@@ -59,17 +60,13 @@ class RunConfig:
         return v
 
 
-def _round12(x: float) -> float:
-    return float(experiments.fmt_float(float(x)))
-
-
 def _jsonify(obj):
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
-        return _round12(float(obj))
+        return _round12(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, complex):
@@ -227,18 +224,19 @@ def cmd_circuit_prep(cfg: RunConfig) -> int:
     zeta_kind = cfg.get("zeta", "plus-all").replace("-", "_")
     doc = {"command": "circuit-prep", "two_j": two_j, "m1": m1, "m2": m2,
            "zeta": zeta_kind}
+    analytic = circuits.prep_probability_analytic(two_j, m1, m2, zeta_kind)
     if two_j <= circuits.MAX_REGISTER_TWO_J and not _switch(cfg, "analytic"):
         zeta = circuits.reference_state(two_j, zeta_kind, m1, m2)
         res = circuits.prep_circuit(two_j, m1, m2, alpha, beta, zeta)
         doc.update({
             "success_prob": res.success_prob,
             "ancilla_normalized_prob": res.ancilla_normalized_prob,
-            "analytic_prob": res.analytic_prob,
+            "analytic_prob": analytic,
             "leakage": res.leakage,
             "output_amplitudes": [complex(c) for c in res.output_system.amplitudes],
         })
     else:
-        doc["analytic_prob"] = circuits.prep_probability_analytic(two_j, m1, m2, zeta_kind)
+        doc["analytic_prob"] = analytic
     if two_j % 2 == 0 and m1 == 0.0 and abs(m2 + two_j / 2.0) < 1e-12 \
             and zeta_kind == "plus_all":
         doc["overlap_conventions"] = circuits.prep_probability_conventions(two_j)
@@ -253,22 +251,21 @@ def cmd_circuit_measure(cfg: RunConfig) -> int:
                           "postselection state")
     two_j = strat.system_space.two_j
     m1, m2, alpha, beta = fam.components(strat)
-    joint = evolved_joint(strat)
     meter_dim = strat.meter_space.dim
+    joint = evolved_joint(strat)
+    projection = project_left(joint, strat.psi_f, meter_dim)
     doc = {"command": "circuit-measure", "two_j": two_j, "g": strat.g,
-           "alpha": alpha, "beta": beta}
-    analytic, _ = circuits.measure_probability_analytic(
-        two_j, joint, m1, m2, alpha, beta, "dicke_superposition", meter_dim)
-    doc["analytic_p_tilde"] = analytic
+           "alpha": alpha, "beta": beta,
+           "analytic_p_tilde": circuits.measure_probability_analytic(
+               two_j, m1, m2, "dicke_superposition", projection.probability)}
     if two_j <= circuits.MAX_REGISTER_TWO_J and not _switch(cfg, "analytic"):
         zeta = circuits.reference_state(two_j, "dicke_superposition", m1, m2)
         res = circuits.measure_circuit(two_j, joint, m1, m2, alpha, beta, zeta,
                                        meter_dim)
-        kicked = postselect(strat).kicked_meter_exact
         doc.update({
             "p_tilde": res.p_tilde,
             "conditional_meter_fidelity_vs_postselect":
-                abs(np.vdot(res.conditional_meter.amplitudes, kicked.amplitudes)) ** 2,
+                fidelity(res.conditional_meter, projection.collapsed),
         })
     _emit_json(doc, cfg.get("output"))
     return 0

@@ -10,10 +10,13 @@ whose success probability is held fixed across j (postselection angle
 BASELINE_THETA), the at-least-one-click comparison.
 
 Everything is closed-form or deterministic arithmetic; two runs with the
-same configuration produce byte-identical output. The collective families'
-observables are diagonal and stored as vectors, so one record costs O(two_j)
-memory (circuits take their closed form beyond the register cap), and the
-sweeps reach two_j = 10^5.
+same configuration produce byte-identical output. A record evolves and
+projects its joint state once, in `fisher.postselected_fisher_ratio`; the
+measurement-circuit column is the reference-overlap prefactor times that
+exact P_s, and the preparation column runs the brute-force circuit only
+within the register cap. The collective families' observables are diagonal
+and stored as vectors, so one record costs O(two_j) memory and the sweeps
+reach two_j = 10^5.
 """
 
 from __future__ import annotations
@@ -33,10 +36,8 @@ from .wva import (
     DEFAULT_G,
     WeakValueStrategy,
     collective_success,
-    evolved_joint,
     sigma_advantage,
     success_probability,
-    weak_value,
 )
 
 
@@ -129,55 +130,48 @@ def _sigma_for(fam: Family, two_j: int, parameter: float, ps: float,
     return sigma_advantage(ps, two_j, sin(baseline_theta) ** 2)
 
 
-def _circuit_probs(fam: Family, strat: WeakValueStrategy):
+def _circuit_probs(fam: Family, strat: WeakValueStrategy, success_prob: float):
     """Preparation weight and measurement probability for the strategy's
-    two-component states; brute force within the register cap, closed form
-    beyond it."""
-    if fam.levels is None:
-        return None, None
+    two-component states. The measurement probability is the closed form:
+    the reference-overlap prefactor times the exact postselection
+    probability `success_prob`, at every size."""
     two_j = strat.system_space.two_j
-    m1, m2, alpha, beta = fam.components(strat)
-    meter_dim = strat.meter_space.dim
-    joint = evolved_joint(strat)
+    m1, m2 = fam.levels(strat.system_space.j)
+    # Brute force within the register cap: at two_j = 8 the exact weight
+    # 70 x 2^-16 sits on a 12-digit tie that the brute-force roundoff prints
+    # as ...437 and the closed form as ...438, and the recorded CLI reference
+    # holds ...437 (ROADMAP item 2 re-records it).
     if two_j <= circuits.MAX_REGISTER_TWO_J:
         zeta_prep = circuits.reference_state(two_j, "plus_all")
         prep = circuits.prep_circuit(two_j, m1, m2, 1 / np.sqrt(2), 1 / np.sqrt(2),
                                      zeta_prep).success_prob
     else:
         prep = circuits.prep_probability_analytic(two_j, m1, m2, "plus_all")
-    # the measurement register drags the meter along: keep the brute-force
-    # path within the amplitude budget, fall back to the closed form beyond
-    if 2 ** (2 * two_j + 1) * meter_dim <= 2**22:
-        zeta_meas = circuits.reference_state(two_j, "dicke_superposition", m1, m2)
-        meas = circuits.measure_circuit(two_j, joint, m1, m2, alpha, beta,
-                                        zeta_meas, meter_dim).p_tilde
-    else:
-        meas, _ = circuits.measure_probability_analytic(
-            two_j, joint, m1, m2, alpha, beta, "dicke_superposition", meter_dim)
+    meas = circuits.measure_probability_analytic(two_j, m1, m2, "dicke_superposition",
+                                                 success_prob)
     return prep, meas
 
 
 def _one_record(fam: Family, two_j: int, parameter: float, g: float, eta: complex,
                 baseline_theta: float, with_circuits: bool) -> ScalingRecord:
     strat = fam.build(two_j, parameter, g=g, eta=eta)
-    a_w = weak_value(strat.psi_i, strat.psi_f, strat.A)
+    # the one evolution and projection of the joint state in a record
+    report = fisher.postselected_fisher_ratio(strat)
     ps = success_probability(strat.psi_i, strat.psi_f)
     sigma = _sigma_for(fam, two_j, parameter, ps, baseline_theta)
-    qfi_total = fisher.qfi_product(strat.A, strat.psi_i, strat.B, strat.phi_i)
-    ratio = fisher.postselected_fisher_ratio(strat).ratio
     prep = meas = None
-    if with_circuits:
-        prep, meas = _circuit_probs(fam, strat)
+    if with_circuits and fam.levels is not None:
+        prep, meas = _circuit_probs(fam, strat, report.success_prob)
     # For the uncorrelated family two_j counts independent probes, each a
     # fresh single-qubit strategy; for collective families it is the register.
     return ScalingRecord(
         two_j=two_j,
         kappa_or_epsilon=parameter,
-        abs_weak_value=abs(a_w),
+        abs_weak_value=abs(report.weak_value),
         success_prob=ps,
         sigma=sigma,
-        qfi_total=qfi_total,
-        fisher_ratio=ratio,
+        qfi_total=report.qfi_total,
+        fisher_ratio=report.ratio,
         circuit_prep_prob=prep,
         circuit_measure_prob=meas,
     )

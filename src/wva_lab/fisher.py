@@ -26,6 +26,7 @@ from .wva import WeakValueStrategy, evolved_joint
 
 @dataclass(frozen=True)
 class FisherReport:
+    weak_value: complex
     qfi_total: float
     qfi_postselected: float
     qfi_meter_unweighted: float
@@ -130,6 +131,7 @@ def postselected_fisher_ratio(strategy: WeakValueStrategy) -> FisherReport:
     j = strategy.system_space.j
     small_eta = 2.0 * j**4 * eta_abs**2
     return FisherReport(
+        weak_value=a_w,
         qfi_total=total,
         qfi_postselected=weighted,
         qfi_meter_unweighted=meter_qfi,

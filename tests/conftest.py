@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,23 @@ def nonlinear_ratio_limit(two_j, kappa, eta):
     a2 = (j**4 + 2 * j**3 + 2 * j**2) / 2
     var_a = j**4 / 4
     return ps * a_w**2 / (a2 + var_a * abs(eta) ** 2)
+
+
+def spy_everywhere(monkeypatch, name, calls):
+    """Count calls of the package function `name` under every module that
+    holds it, since callers look it up where they imported it."""
+    modules = [importlib.import_module(f"wva_lab.{m}")
+               for m in ("linalg", "spin", "boson", "wva", "circuits", "fisher", "dynamics",
+                         "experiments", "cli")]
+    real = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, spy)
 
 
 #: A valid parameter of each strategy family (experiments.FAMILIES) for

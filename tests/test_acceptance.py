@@ -128,7 +128,8 @@ def test_criterion_5_circuit_oracle_equivalence():
     for two_j, m1, m2 in configs:
         zeta = C.reference_state(two_j, "plus_all")
         res = C.prep_circuit(two_j, m1, m2, 1 / sqrt(2), 1 / sqrt(2), zeta)
-        worst_prob = max(worst_prob, abs(res.success_prob - res.analytic_prob))
+        analytic = C.prep_probability_analytic(two_j, m1, m2, "plus_all")
+        worst_prob = max(worst_prob, abs(res.success_prob - analytic))
     # standard configuration: value and the two published conventions
     for two_j in (2, 4, 6, 8):
         j_int = two_j // 2
@@ -151,9 +152,10 @@ def test_criterion_5_circuit_oracle_equivalence():
         zeta = C.reference_state(two_j, "dicke_superposition", j, -j)
         res = C.measure_circuit(two_j, evolved_joint(strat), j, -j, alpha, beta,
                                 zeta, strat.meter_space.dim)
-        worst_prob = max(worst_prob, abs(res.p_tilde - res.analytic_p_tilde))
-        kicked = postselect(strat).kicked_meter_exact
-        worst_fid = min(worst_fid, fidelity(res.conditional_meter, kicked))
+        post = postselect(strat)
+        analytic = C.measure_probability_analytic(two_j, j, -j, zeta, post.success_prob_exact)
+        worst_prob = max(worst_prob, abs(res.p_tilde - analytic))
+        worst_fid = min(worst_fid, fidelity(res.conditional_meter, post.kicked_meter_exact))
     for two_j in (4, 8):
         strat = strategy_nonlinear_joint(two_j, 1e-3, g=1e-4)
         sp = strat.system_space
@@ -163,9 +165,10 @@ def test_criterion_5_circuit_oracle_equivalence():
         zeta = C.reference_state(two_j, "dicke_superposition", 0, -j)
         res = C.measure_circuit(two_j, evolved_joint(strat), 0, -j, alpha, beta,
                                 zeta, strat.meter_space.dim)
-        worst_prob = max(worst_prob, abs(res.p_tilde - res.analytic_p_tilde))
-        kicked = postselect(strat).kicked_meter_exact
-        worst_fid = min(worst_fid, fidelity(res.conditional_meter, kicked))
+        post = postselect(strat)
+        analytic = C.measure_probability_analytic(two_j, 0, -j, zeta, post.success_prob_exact)
+        worst_prob = max(worst_prob, abs(res.p_tilde - analytic))
+        worst_fid = min(worst_fid, fidelity(res.conditional_meter, post.kicked_meter_exact))
     elapsed = time.time() - t0
     ok = worst_prob < 1e-10 and worst_fid >= 1 - 1e-10 and elapsed < 30.0
     assert report("5", ok, f"max prob deviation {worst_prob:.2e}, min meter fidelity "

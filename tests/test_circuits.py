@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wva_lab import circuits as C
+from wva_lab.experiments import sweep
 from wva_lab.linalg import StateVector, fidelity, inner
 from wva_lab.spin import SpinSpace
 from wva_lab.wva import evolved_joint, postselect, strategy_linear_optimal, strategy_nonlinear_joint
@@ -102,9 +103,10 @@ def test_prep_brute_force_matches_analytic(two_j, m1, m2):
     # oracle equivalence: full-amplitude simulation vs overlap closed form
     zeta = C.reference_state(two_j, "plus_all")
     res = C.prep_circuit(two_j, m1, m2, 1 / sqrt(2), 1 / sqrt(2), zeta)
-    assert abs(res.success_prob - res.analytic_prob) < 1e-10
-    assert res.analytic_prob == pytest.approx(
-        C.prep_probability_analytic(two_j, m1, m2, "plus_all"), abs=1e-14)
+    analytic = C.prep_probability_analytic(two_j, m1, m2, "plus_all")
+    assert abs(res.success_prob - analytic) < 1e-10
+    overlaps = abs(C.reference_overlap(zeta, m1)) ** 2 * abs(C.reference_overlap(zeta, m2)) ** 2
+    assert overlaps == pytest.approx(analytic, abs=1e-14)
     assert res.leakage < 1e-12
 
 
@@ -196,9 +198,10 @@ def test_measure_brute_force_matches_analytic(two_j):
     zeta = C.reference_state(two_j, "dicke_superposition", j, -j)
     res = C.measure_circuit(two_j, joint, j, -j, alpha, beta, zeta,
                             strat.meter_space.dim)
-    assert abs(res.p_tilde - res.analytic_p_tilde) < 1e-10
-    kicked = postselect(strat).kicked_meter_exact
-    assert fidelity(res.conditional_meter, kicked) >= 1 - 1e-10
+    post = postselect(strat)
+    analytic = C.measure_probability_analytic(two_j, j, -j, zeta, post.success_prob_exact)
+    assert abs(res.p_tilde - analytic) < 1e-10
+    assert fidelity(res.conditional_meter, post.kicked_meter_exact) >= 1 - 1e-10
 
 
 # --------------------------------------------------------- overlap expansion
@@ -223,6 +226,27 @@ def test_overlap_expansion_deviation_quadratic_in_g():
     assert slope == pytest.approx(2.0, abs=0.1)
 
 
+def test_prep_closed_form_skips_the_central_binomial_where_the_edge_underflows(monkeypatch):
+    # 2^-2j already makes the |j,-j> weight 0.0 from two_j ~ 1075
+    built = []
+    real = C.comb
+
+    def spy(n, k):
+        built.append((n, k))
+        return real(n, k)
+
+    monkeypatch.setattr(C, "comb", spy)
+    two_j = 100_000
+    assert C.prep_probability_analytic(two_j, 0, -two_j // 2) == 0.0
+    (record,) = sweep("near_deterministic", [two_j], 0.04, g=1e-11)
+    assert record.circuit_prep_prob == 0.0
+    assert built and all(k in (0, two_j) for _, k in built)
+    # where the edge weight is normal, both levels are evaluated
+    built.clear()
+    assert C.prep_probability_analytic(8, -4, 0) == 70 * 2.0**-16
+    assert sorted(k for _, k in built) == [0, 4]
+
+
 @pytest.mark.parametrize("two_j", [4, 100, 400, 600, 1000, 1030, 1100, 2000])
 def test_closed_form_weights_are_correctly_rounded(two_j):
     # oracle: the exact rational weight, rounded once by Fraction -> float
@@ -234,9 +258,8 @@ def test_closed_form_weights_are_correctly_rounded(two_j):
     assert conv["normalized_dicke"] == float(central * edge)
     assert conv["unnormalized_dicke"] == float(central**2)
     strat = strategy_nonlinear_joint(two_j, 0.01 / j**2, g=0.0)
-    joint = evolved_joint(strat)
-    meter_dim = strat.meter_space.dim
-    got, _ = C.measure_probability_analytic(two_j, joint, 0, -j, 1.0, 1.0, "plus_all", meter_dim)
+    ps = postselect(strat).success_prob_exact
+    got = C.measure_probability_analytic(two_j, 0, -j, "plus_all", ps)
     assert np.isfinite(got)
     if two_j <= 400:  # where the weights are normal, the old float formula agrees bit for bit
         assert conv["normalized_dicke"] == 2.0 ** (-2 * two_j) * comb(two_j, j)

@@ -5,7 +5,7 @@ import pytest
 from wva_lab.cli import BY_CLI_NAME, run
 from wva_lab.experiments import FAMILIES, records_to_csv, records_to_json, sweep
 
-from conftest import FAMILY_PARAMETERS
+from conftest import FAMILY_PARAMETERS, spy_everywhere
 
 
 def capture(capsys, argv):
@@ -105,6 +105,13 @@ def test_circuit_prep_cli(capsys):
     assert "analytic_prob" in json.loads(out)
 
 
+@pytest.mark.parametrize("zeta", ["plus-all", "dicke-superposition"])
+def test_circuit_prep_one_level_exits_2(capsys, zeta):
+    # a doubled level makes the two branches interfere (success_prob 2.0)
+    assert run(["circuit-prep", "--two-j", "2", "--m1", "0", "--m2", "0", "--zeta", zeta]) == 2
+    assert "two different Dicke levels" in capsys.readouterr().err
+
+
 def test_circuit_measure_cli(capsys):
     code, out = capture(capsys, ["circuit-measure", "--two-j", "4", "--kappa",
                                  "0.001", "--g", "1e-4"])
@@ -112,6 +119,16 @@ def test_circuit_measure_cli(capsys):
     doc = json.loads(out)
     assert doc["conditional_meter_fidelity_vs_postselect"] >= 1 - 1e-9
     assert doc["p_tilde"] == pytest.approx(doc["analytic_p_tilde"], rel=1e-9)
+
+
+def test_circuit_measure_evolves_and_projects_once(capsys, monkeypatch):
+    calls = []
+    for name in ("evolved_joint", "project_left"):
+        spy_everywhere(monkeypatch, name, calls)
+    code, _ = capture(capsys, ["circuit-measure", "--two-j", "4", "--kappa", "0.001",
+                               "--g", "1e-4"])
+    assert code == 0
+    assert calls == ["evolved_joint", "project_left"]
 
 
 @pytest.mark.parametrize("argv", [["--two-j", "5", "--a-w", "40"],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wva_lab import wva
+from wva_lab import circuits, wva
 from wva_lab.experiments import (
     CSV_HEADER,
     FAMILIES,
@@ -14,7 +14,7 @@ from wva_lab.experiments import (
     sweep,
 )
 
-from conftest import FAMILY_PARAMETERS
+from conftest import FAMILY_PARAMETERS, spy_everywhere
 
 
 def test_sweep_nonlinear_closed_form_columns():
@@ -93,6 +93,39 @@ def test_family_build_looks_the_constructor_up_per_call(monkeypatch):
     monkeypatch.setattr(wva, "strategy_nonlinear_joint", spy)
     sweep("nonlinear_joint", [4, 6], 1e-4, with_circuits=False)
     assert calls == [(4, 1e-4), (6, 1e-4)]
+
+
+#: (family, two_j) pairs of the measurement oracle: every collective family
+#: at two_j 4, 6, 8, and the half-integer spins 5, 7 of the linear families.
+MEASURE_ORACLE_CASES = [
+    (name, two_j)
+    for name, fam in FAMILIES.items() if fam.levels is not None
+    for two_j in ((4, 5, 6, 7, 8) if not fam.integer_j else (4, 6, 8))
+]
+
+
+@pytest.mark.parametrize("family,two_j", MEASURE_ORACLE_CASES)
+def test_measure_column_matches_the_brute_force_circuit(family, two_j):
+    # oracle: the full-amplitude circuit on the evolved joint state
+    parameter = FAMILY_PARAMETERS[family]
+    (record,) = sweep(family, [two_j], parameter)
+    fam = FAMILIES[family]
+    strat = fam.build(two_j, parameter)
+    m1, m2, alpha, beta = fam.components(strat)
+    zeta = circuits.reference_state(two_j, "dicke_superposition", m1, m2)
+    brute = circuits.measure_circuit(two_j, wva.evolved_joint(strat), m1, m2, alpha, beta,
+                                     zeta, strat.meter_space.dim)
+    assert record.circuit_measure_prob == pytest.approx(brute.p_tilde, rel=1e-12)
+
+
+@pytest.mark.parametrize("family", [n for n, f in FAMILIES.items() if f.levels is not None])
+def test_sweep_record_evolves_once_and_runs_no_measurement_circuit(monkeypatch, family):
+    calls = []
+    for name in ("evolved_joint", "measure_circuit"):
+        spy_everywhere(monkeypatch, name, calls)
+    (record,) = sweep(family, [4], FAMILY_PARAMETERS[family])
+    assert record.circuit_measure_prob is not None
+    assert calls == ["evolved_joint"]
 
 
 def test_sweep_threaded_matches_serial():
