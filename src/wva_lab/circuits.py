@@ -99,6 +99,12 @@ def _check_levels(m1: float, m2: float):
         raise ValueError("m1 and m2 must be two different Dicke levels")
 
 
+def check_ancilla(alpha: complex, beta: complex):
+    """Reject control-ancilla coefficients alpha|0> + beta|1> off the unit sphere."""
+    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
+        raise ValueError("|alpha|^2 + |beta|^2 must be 1")
+
+
 def embed_dicke(two_j: int, m: float) -> StateVector:
     """|j,m> as the uniform superposition of bitstrings with j+m ones,
     amplitude 1/sqrt(C(2j, j+m)), in a 2^(2j)-dimensional register."""
@@ -156,8 +162,7 @@ def prep_circuit(two_j: int, m1: float, m2: float, alpha: complex, beta: complex
     """
     _check_register(two_j)
     _check_levels(m1, m2)
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
-        raise ValueError("|alpha|^2 + |beta|^2 must be 1")
+    check_ancilla(alpha, beta)
     z1 = reference_overlap(zeta, m1)
     z2 = reference_overlap(zeta, m2)
     if abs(z1) < 1e-14 or abs(z2) < 1e-14:

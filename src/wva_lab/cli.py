@@ -221,6 +221,7 @@ def cmd_circuit_prep(cfg: RunConfig) -> int:
     m2 = float(cfg.require("m2"))
     alpha = float(cfg.get("alpha", 1 / np.sqrt(2)))
     beta = float(cfg.get("beta", 1 / np.sqrt(2)))
+    circuits.check_ancilla(alpha, beta)
     zeta_kind = cfg.get("zeta", "plus-all").replace("-", "_")
     doc = {"command": "circuit-prep", "two_j": two_j, "m1": m1, "m2": m2,
            "zeta": zeta_kind}

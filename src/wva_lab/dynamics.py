@@ -17,7 +17,8 @@ the level pushed by the e^{+i d t} coupling shifts by +|V|^2/d. The fidelity
 validation in this module is the executable check of that convention.
 
 The oscillating model is solved exactly, not integrated: it is a frame
-rotation of a static Hamiltonian (see `_frame_propagator`).
+rotation of a static Hamiltonian, diagonalized per block of the conserved
+charge 2Jz + n (see `_frame_propagator`).
 """
 
 from __future__ import annotations
@@ -127,11 +128,22 @@ def conservation_residual(params: TwoPhotonTCParams, t: float = 0.237) -> float:
     return float(np.max(np.abs(comm)))
 
 
-#: Largest number of complex entries in one per-chunk temporary of
-#: `effective_model_fidelity`. Of 2^10, 2^13, 2^15 and 2^20, 2^13 ran the
-#: perfbench dispersive cases fastest; 2^20 was 8x slower and raised peak
-#: memory from 58 to 97 MB.
+#: Largest number of complex entries in the phase table of the pair scan in
+#: `effective_model_fidelity`. The 8 perfbench dispersive fidelity calls took
+#: 34, 25, 22, 21, 23 and 42 ms at 2^10, 2^11, 2^12, 2^13, 2^14 and 2^16
+#: (medians of 40 interleaved passes, 1 BLAS thread), with tracemalloc peaks
+#: of 0.58 MB up to 2^13, 0.65 MB at 2^14 and 2.2 MB at 2^16.
 CHUNK_ELEMENTS = 2**13
+
+
+def _charge_blocks(params: TwoPhotonTCParams):
+    """Joint indices grouped by the charge 2Jz + n: one (blocks, size) array
+    of index rows per distinct block size."""
+    q = conserved_charge(params).entries.real
+    order = np.argsort(q, kind="stable")
+    starts = np.flatnonzero(np.diff(q[order], prepend=np.nan))
+    sizes = np.diff(starts, append=q.size)
+    return [order[starts[sizes == s][:, None] + np.arange(s)] for s in np.unique(sizes)]
 
 
 def _frame_propagator(params: TwoPhotonTCParams, psi0: StateVector):
@@ -139,8 +151,12 @@ def _frame_propagator(params: TwoPhotonTCParams, psi0: StateVector):
 
     H(t) = e^{i d Jz t} K e^{-i d Jz t} with K = g0 (J+ a^2 + J- a^dag^2), so
     psi(t) = e^{i d Jz t} V e^{-i lambda t} V^dag psi0 exactly, where
-    K + d Jz = V diag(lambda) V^dag. Returns (d Jz diagonal, lambda, V,
-    V^dag psi0)."""
+    K + d Jz = V diag(lambda) V^dag. K couples |m,n> only to |m+-1,n-+2>, so
+    K + d Jz is block diagonal in the charge 2Jz + n; its blocks of one size
+    are diagonalized by one stacked `eigh`, and eigenvector k of a block takes
+    the column of the block's k-th joint index. Returns (d Jz diagonal,
+    lambda, V, V^dag psi0, (rows, cols)), the last pair listing every
+    same-block (row, eigen-index) pair, where V can be nonzero."""
     if abs(psi0.norm() - 1.0) > 1e-10:
         raise ValueError("psi0 must be normalized")
     if psi0.dim != params.joint_dim:
@@ -148,13 +164,22 @@ def _frame_propagator(params: TwoPhotonTCParams, psi0: StateVector):
     h_plus, h_minus, _ = _ladder_parts(params)
     d_jz = params.delta_minus * np.repeat(SpinSpace(params.two_j).m_values(),
                                           params.fock_cutoff + 1)
-    evals, evecs = np.linalg.eigh(h_plus + h_minus + np.diag(d_jz))
-    return d_jz, evals, evecs, evecs.conj().T @ psi0.amplitudes
+    generator = h_plus + h_minus + np.diag(d_jz)
+    evals = np.empty(params.joint_dim)
+    evecs = np.zeros((params.joint_dim, params.joint_dim), dtype=complex)
+    rows, cols = [], []
+    for block in _charge_blocks(params):
+        row, col = np.broadcast_arrays(block[:, :, None], block[:, None, :])
+        evals[block], evecs[row, col] = np.linalg.eigh(generator[row, col])
+        rows.append(row.ravel())
+        cols.append(col.ravel())
+    pairs = np.concatenate(rows), np.concatenate(cols)
+    return d_jz, evals, evecs, evecs.conj().T @ psi0.amplitudes, pairs
 
 
 def _full_states(frame, times):
     """Full states at `times` and their largest norm drift |norm - 1|."""
-    d_jz, evals, evecs, coeffs = frame
+    d_jz, evals, evecs, coeffs, _ = frame
     states = tuple(StateVector.unnormalized(
         np.exp(1j * d_jz * t) * (evecs @ (np.exp(-1j * evals * t) * coeffs)))
         for t in times)
@@ -163,8 +188,9 @@ def _full_states(frame, times):
 
 def evolve_full(params: TwoPhotonTCParams, psi0: StateVector,
                 store_every: int = 1) -> EvolutionTrace:
-    """Exact evolution of the oscillating model (one Hermitian eigensolve of
-    the rotating-frame generator), stored every `store_every` grid points."""
+    """Exact evolution of the oscillating model (one stacked Hermitian
+    eigensolve per charge-block size of the rotating-frame generator), stored
+    every `store_every` grid points."""
     _, dt, stored = time_grid(params, store_every)
     times = stored * dt
     states, drift = _full_states(_frame_propagator(params, psi0), times)
@@ -237,22 +263,26 @@ def effective_model_fidelity(params: TwoPhotonTCParams, psi0: StateVector,
     """
     nsteps, dt, stored = time_grid(params, store_every)
     frame = _frame_propagator(params, psi0)
-    d_jz, evals, evecs, coeffs = frame
-    # with G the effective generator and c = V^dag psi0, <psi_full|psi_eff>
-    # = sum_k conj(c_k) e^{i lambda_k t} (V^dag e^{-i (G + d Jz) t} psi0)_k
-    # A chunk starting at t0 splits each phase as e^{i w (t0 + tau)}, so the
-    # chunk-sized phase tables over tau = 0, dt, .. are computed once.
+    d_jz, evals, evecs, coeffs, (rows, cols) = frame
+    # With G the effective generator, r = G + d Jz and c = V^dag psi0,
+    # <psi_full|psi_eff> = sum_(l,k) W_lk e^{i (lambda_k - r_l) t} over the
+    # same-block pairs, W_lk = conj(c_k) conj(V_lk) psi0_l; pairs with
+    # psi0_l = 0 contribute 0 and are dropped. A chunk starting at t0 splits
+    # each phase as e^{i w (t0 + tau)}, so the chunk-sized phase table over
+    # tau = 0, dt, .. is computed once.
+    amps = psi0.amplitudes
+    live = amps[rows] != 0
+    rows, cols = rows[live], cols[live]
+    weights = np.conj(coeffs[cols] * evecs[rows, cols]) * amps[rows]
     rate = effective_generator_diag(params, include_commutator_terms) + d_jz
-    chunk = max(CHUNK_ELEMENTS // params.joint_dim, 1)
-    tau = dt * np.arange(min(chunk, nsteps + 1))[:, None]
-    rate_steps, eig_steps = np.exp(-1j * rate * tau), np.exp(1j * evals * tau)
+    freqs = evals[cols] - rate[rows]
+    chunk = max(CHUNK_ELEMENTS // freqs.size, 1)
+    steps = np.exp(1j * freqs * (dt * np.arange(min(chunk, nsteps + 1))[:, None]))
     fids = np.empty(nsteps + 1)
     for start in range(0, nsteps + 1, chunk):
         n, t0 = min(chunk, nsteps + 1 - start), start * dt
-        eff0 = np.exp(-1j * rate * t0) * psi0.amplitudes
-        full0 = np.exp(1j * evals * t0) * coeffs.conj()
-        overlaps = ((rate_steps[:n] * eff0) @ evecs.conj() * eig_steps[:n]) @ full0
-        fids[start:start + n] = np.abs(overlaps) ** 2
+        start_weights = np.exp(1j * freqs * t0) * weights
+        fids[start:start + n] = np.abs(steps[:n] @ start_weights) ** 2
     times = stored * dt
     full_states, drift = _full_states(frame, times)
     trace = EvolutionTrace(

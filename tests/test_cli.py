@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -112,6 +113,16 @@ def test_circuit_prep_one_level_exits_2(capsys, zeta):
     assert "two different Dicke levels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--two-j", "4", "--m1", "0", "--m2", "-2"],
+    ["--two-j", "4", "--m1", "0", "--m2", "-2", "--analytic"],
+    ["--two-j", "16", "--m1", "0", "--m2", "-8"],
+], ids=["brute-force", "analytic", "beyond-register-cap"])
+def test_circuit_prep_bad_ancilla_exits_2_on_every_path(capsys, argv):
+    assert run(["circuit-prep", *argv, "--alpha", "5", "--beta", "7"]) == 2
+    assert "|alpha|^2 + |beta|^2 must be 1" in capsys.readouterr().err
+
+
 def test_circuit_measure_cli(capsys):
     code, out = capture(capsys, ["circuit-measure", "--two-j", "4", "--kappa",
                                  "0.001", "--g", "1e-4"])
@@ -175,6 +186,15 @@ def test_dynamics_cli(capsys):
     assert doc["g_dispersive"] == pytest.approx(0.01)
     assert doc["conservation_residual"] < 1e-10
     assert 0.9 < doc["min_fidelity"] < 1.0
+
+
+def test_readme_dynamics_stdout_is_pinned(capsys):
+    # the README `dynamics` example, whose stdout no benchmark reference holds
+    golden = pathlib.Path(__file__).parent / "reference" / "dynamics_readme.stdout"
+    code, out = capture(capsys, ["dynamics", "--two-j", "2", "--g0", "0.02",
+                                 "--delta-minus", "1.0", "--fock-cutoff", "6"])
+    assert code == 0
+    assert out.encode() == golden.read_bytes()
 
 
 def test_dynamics_validation_exits_2(capsys):

@@ -5,6 +5,7 @@ from wva_lab.boson import FockSpace, coherent_state
 from wva_lab.dynamics import (
     EvolutionTrace,
     TwoPhotonTCParams,
+    _frame_propagator,
     charge_drift,
     conservation_residual,
     conserved_charge,
@@ -18,6 +19,8 @@ from wva_lab.linalg import StateVector, expm_i, fidelity, tensor
 from wva_lab.spin import SpinSpace, collective_op, dicke_state, nonlinear_observable
 from wva_lab.boson import op_number
 
+from conftest import random_state
+from dense_frame_oracle import dense_evolve, dense_fidelities
 from rk4_oracle import rk4_derivative, rk4_evolve
 
 
@@ -186,6 +189,51 @@ def test_exact_evolution_matches_rk4_oracle(two_j, cutoff):
     np.testing.assert_allclose(trace.times, times, rtol=0, atol=1e-12)
     dist = max(np.linalg.norm(s.amplitudes - v) for s, v in zip(trace.full_states, states))
     assert dist <= 1e-8
+
+
+#: (two_j, Fock cutoff) points where the per-charge-block solver is checked
+#: against the dense one: odd and even registers, blocks limited by the spin
+#: or by the cutoff.
+BLOCK_ORACLE_POINTS = [(1, 5), (2, 6), (3, 7), (8, 8), (12, 20)]
+
+
+def block_oracle_case(rng, two_j, cutoff):
+    # strong mixing (g0/d = 0.2) and a psi0 with no zero amplitude, so every
+    # same-block pair enters the fidelity scan
+    p = make_params(two_j=two_j, g0=0.2, fock_cutoff=cutoff, t_final=20.0, dt=0.05)
+    psi0 = random_state(rng, p.joint_dim)
+    assert np.all(psi0.amplitudes != 0)
+    return p, psi0
+
+
+@pytest.mark.parametrize("commutator", [False, True])
+@pytest.mark.parametrize("two_j, cutoff", BLOCK_ORACLE_POINTS)
+def test_block_solver_matches_dense_oracle(rng, two_j, cutoff, commutator):
+    p, psi0 = block_oracle_case(rng, two_j, cutoff)
+    min_fid, trace = effective_model_fidelity(p, psi0, store_every=1,
+                                              include_commutator_terms=commutator)
+    _, states = dense_evolve(p, psi0)
+    fids = dense_fidelities(p, psi0, commutator)
+    assert np.max(np.abs([s.amplitudes for s in trace.full_states] - states)) <= 1e-12
+    assert np.max(np.abs(trace.fidelities - fids)) <= 1e-12
+    assert abs(min_fid - np.min(fids)) <= 1e-12
+
+
+@pytest.mark.parametrize("two_j, cutoff", BLOCK_ORACLE_POINTS)
+def test_eigenvectors_live_on_one_charge_block(rng, two_j, cutoff):
+    p, psi0 = block_oracle_case(rng, two_j, cutoff)
+    charge = conserved_charge(p).entries.real
+    _, _, evecs, _, _ = _frame_propagator(p, psi0)
+    np.testing.assert_allclose(evecs.conj().T @ evecs, np.eye(p.joint_dim), atol=1e-13)
+    for vec in evecs.T:
+        assert np.ptp(charge[vec != 0]) == 0
+
+
+def test_charge_drift_at_roundoff_on_a_large_register(rng):
+    # the dense eigh leaks charge at ~2e-14 here; block eigenvectors cannot
+    p, psi0 = block_oracle_case(rng, 12, 20)
+    trace = evolve_full(p, psi0, store_every=10)
+    assert charge_drift(p, trace) <= 1e-14
 
 
 def test_rk4_derivative_consistent_with_hamiltonian(rng):
