@@ -17,8 +17,10 @@ the level pushed by the e^{+i d t} coupling shifts by +|V|^2/d. The fidelity
 validation in this module is the executable check of that convention.
 
 The oscillating model is solved exactly, not integrated: it is a frame
-rotation of a static Hamiltonian, diagonalized per block of the conserved
-charge 2Jz + n (see `_frame_propagator`).
+rotation of a static Hamiltonian, diagonalized and held per block of the
+conserved charge 2Jz + n (see `_frame_propagator`). Only `hamiltonian_full`
+builds a dim x dim matrix, for the independent check that H(t) conserves
+2Jz + n (`conservation_residual`).
 """
 
 from __future__ import annotations
@@ -152,45 +154,56 @@ def _frame_propagator(params: TwoPhotonTCParams, psi0: StateVector):
     H(t) = e^{i d Jz t} K e^{-i d Jz t} with K = g0 (J+ a^2 + J- a^dag^2), so
     psi(t) = e^{i d Jz t} V e^{-i lambda t} V^dag psi0 exactly, where
     K + d Jz = V diag(lambda) V^dag. K couples |m,n> only to |m+-1,n-+2>, so
-    K + d Jz is block diagonal in the charge 2Jz + n; its blocks of one size
-    are diagonalized by one stacked `eigh`, and eigenvector k of a block takes
-    the column of the block's k-th joint index. Returns (d Jz diagonal,
-    lambda, V, V^dag psi0, (rows, cols)), the last pair listing every
-    same-block (row, eigen-index) pair, where V can be nonzero."""
+    K + d Jz is block diagonal in the charge 2Jz + n, and V is held only per
+    block. A block's members, in joint-index order, run |m,n>, |m-1,n+2>, ..;
+    its generator has d m on the diagonal and the real element
+    g0 <m,n| J+ a^2 |m-1,n+2> between neighbours. The blocks of one size are
+    diagonalized by one stacked `eigh`. Returns (d Jz diagonal, blocks), one
+    (idx, lambda, V, V^dag psi0[idx]) per block size, with shapes (b, s),
+    (b, s), (b, s, s) and (b, s): V[b, :, k] is eigenvector k of block b on
+    the joint indices idx[b]."""
     if abs(psi0.norm() - 1.0) > 1e-10:
         raise ValueError("psi0 must be normalized")
     if psi0.dim != params.joint_dim:
         raise ValueError("psi0 must live on the joint space")
-    h_plus, h_minus, _ = _ladder_parts(params)
-    d_jz = params.delta_minus * np.repeat(SpinSpace(params.two_j).m_values(),
-                                          params.fock_cutoff + 1)
-    generator = h_plus + h_minus + np.diag(d_jz)
-    evals = np.empty(params.joint_dim)
-    evecs = np.zeros((params.joint_dim, params.joint_dim), dtype=complex)
-    rows, cols = [], []
-    for block in _charge_blocks(params):
-        row, col = np.broadcast_arrays(block[:, :, None], block[:, None, :])
-        evals[block], evecs[row, col] = np.linalg.eigh(generator[row, col])
-        rows.append(row.ravel())
-        cols.append(col.ravel())
-    pairs = np.concatenate(rows), np.concatenate(cols)
-    return d_jz, evals, evecs, evecs.conj().T @ psi0.amplitudes, pairs
+    space, levels = SpinSpace(params.two_j), params.fock_cutoff + 1
+    jp = collective_op(space, "jplus").matrix.entries
+    a = op_annihilate(FockSpace(params.fock_cutoff)).entries
+    # <m,n| J+ a^2 |m-1,n+2> at the spin index of m and the Fock level n,
+    # multiplied as g0 * (J+ * a^2) like np.kron in `_ladder_parts`, so the
+    # blocks equal those of the dense generator bit for bit
+    jp_up, a2_up = np.diagonal(jp, 1).real, np.diagonal(a @ a, 2).real
+    d_jz = params.delta_minus * np.repeat(space.m_values(), levels)
+    blocks = []
+    for idx in _charge_blocks(params):
+        upper, diag = idx[:, :-1], np.arange(idx.shape[1])
+        gen = np.zeros(idx.shape + idx.shape[1:])
+        gen[:, diag, diag] = d_jz[idx]
+        gen[:, diag[:-1], diag[1:]] = gen[:, diag[1:], diag[:-1]] = \
+            params.g0 * (jp_up[upper // levels] * a2_up[upper % levels])
+        evals, evecs = np.linalg.eigh(gen)
+        coeffs = np.einsum("bik,bi->bk", evecs.conj(), psi0.amplitudes[idx])
+        blocks.append((idx, evals, evecs, coeffs))
+    return d_jz, blocks
 
 
 def _full_states(frame, times):
     """Full states at `times` and their largest norm drift |norm - 1|."""
-    d_jz, evals, evecs, coeffs, _ = frame
-    states = tuple(StateVector.unnormalized(
-        np.exp(1j * d_jz * t) * (evecs @ (np.exp(-1j * evals * t) * coeffs)))
-        for t in times)
+    d_jz, blocks = frame
+    amps = np.empty((times.size, d_jz.size), dtype=complex)
+    for idx, evals, evecs, coeffs in blocks:
+        rotated = np.exp(-1j * evals * times[:, None, None]) * coeffs
+        amps[:, idx] = np.einsum("bik,tbk->tbi", evecs, rotated)
+    amps *= np.exp(1j * d_jz * times[:, None])
+    states = tuple(StateVector.unnormalized(row) for row in amps)
     return states, max(abs(s.norm() - 1.0) for s in states)
 
 
 def evolve_full(params: TwoPhotonTCParams, psi0: StateVector,
                 store_every: int = 1) -> EvolutionTrace:
     """Exact evolution of the oscillating model (one stacked Hermitian
-    eigensolve per charge-block size of the rotating-frame generator), stored
-    every `store_every` grid points."""
+    eigensolve per charge-block size of the rotating-frame generator, with
+    no dim x dim matrix), stored every `store_every` grid points."""
     _, dt, stored = time_grid(params, store_every)
     times = stored * dt
     states, drift = _full_states(_frame_propagator(params, psi0), times)
@@ -263,19 +276,21 @@ def effective_model_fidelity(params: TwoPhotonTCParams, psi0: StateVector,
     """
     nsteps, dt, stored = time_grid(params, store_every)
     frame = _frame_propagator(params, psi0)
-    d_jz, evals, evecs, coeffs, (rows, cols) = frame
+    d_jz, blocks = frame
     # With G the effective generator, r = G + d Jz and c = V^dag psi0,
     # <psi_full|psi_eff> = sum_(l,k) W_lk e^{i (lambda_k - r_l) t} over the
-    # same-block pairs, W_lk = conj(c_k) conj(V_lk) psi0_l; pairs with
+    # same-block pairs, W_lk = conj(c_k) conj(V_lk) psi0_l; rows with
     # psi0_l = 0 contribute 0 and are dropped. A chunk starting at t0 splits
     # each phase as e^{i w (t0 + tau)}, so the chunk-sized phase table over
     # tau = 0, dt, .. is computed once.
-    amps = psi0.amplitudes
-    live = amps[rows] != 0
-    rows, cols = rows[live], cols[live]
-    weights = np.conj(coeffs[cols] * evecs[rows, cols]) * amps[rows]
     rate = effective_generator_diag(params, include_commutator_terms) + d_jz
-    freqs = evals[cols] - rate[rows]
+    weights, freqs = [], []
+    for idx, evals, evecs, coeffs in blocks:
+        amps = psi0.amplitudes[idx]
+        live = amps != 0
+        weights.append((np.conj(coeffs[:, None, :] * evecs) * amps[:, :, None])[live].ravel())
+        freqs.append((evals[:, None, :] - rate[idx][:, :, None])[live].ravel())
+    weights, freqs = np.concatenate(weights), np.concatenate(freqs)
     chunk = max(CHUNK_ELEMENTS // freqs.size, 1)
     steps = np.exp(1j * freqs * (dt * np.arange(min(chunk, nsteps + 1))[:, None]))
     fids = np.empty(nsteps + 1)

@@ -106,16 +106,22 @@ def postselected_fisher_ratio(strategy: WeakValueStrategy) -> FisherReport:
     value in the joint limit sqrt(kappa) j -> 0, j -> infinity, not the
     first-order value at finite j and kappa: for the nonlinear strategy the
     g -> 0 ratio is P_s A_w^2 / (<A^2> + Var(A) |eta|^2), e.g. 0.545 at
-    j = 6, kappa = 1e-3, eta = 0.05.
+    j = 6, kappa = 1e-3, eta = 0.05. |eta| is read from the meter as
+    sqrt(Var_phi B), which is |eta| for a coherent meter with B = n.
+
+    A zero total QFI (e.g. eta = 0) means the meter carries no information
+    on g, and there is no ratio: ValueError.
     """
     a_w = strategy.weak_value()
-    eta_abs = float(np.sqrt(max(expectation(strategy.B, strategy.phi_i).real, 0.0)))
+    eta_abs = float(np.sqrt(variance(strategy.B, strategy.phi_i)))
     kick_scale = eta_abs * strategy.g * abs(a_w)
     if kick_scale > 0.1:
         warnings.warn(f"|eta g A_w| ~ {kick_scale:.3g} above 0.1; "
                       "outside the weak-kick regime", stacklevel=2)
 
     total = qfi_product(strategy.A, strategy.psi_i, strategy.B, strategy.phi_i)
+    if total <= 0.0:
+        raise ValueError("total QFI is 0: the joint state carries no information on g")
 
     joint = evolved_joint(strategy)
     ps, kicked, norm = project_left(joint, strategy.psi_f, strategy.meter_space.dim)
@@ -125,7 +131,7 @@ def postselected_fisher_ratio(strategy: WeakValueStrategy) -> FisherReport:
     d = -1j * (a_psi_f.conj() @ block) @ strategy.B.dense().T / abs(norm)
     meter_qfi = 4.0 * (float(np.real(np.vdot(d, d))) - abs(np.vdot(kicked.amplitudes, d)) ** 2)
     weighted = ps * meter_qfi
-    ratio = weighted / total if total > 0 else float("inf")
+    ratio = weighted / total
 
     prediction = 0.5 * (1.0 - kick_scale**2)
     j = strategy.system_space.j

@@ -202,6 +202,23 @@ def test_dynamics_validation_exits_2(capsys):
     for bad in ("0", "-3"):
         assert run(["dynamics", "--two-j", "2", "--g0", "0.05", "--delta-minus", "1.0",
                     "--t-final", "5", "--store-every", bad]) == 2
+    # the default t_final and dt divide by delta_minus
+    assert run(["dynamics", "--g0", "0.02", "--delta-minus", "0"]) == 2
+    assert "delta_minus must be nonzero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fisher", "--two-j", "4", "--kappa", "0.001", "--eta", "0"],
+    ["scaling", "--family", "nonlinear-joint", "--j-min", "4", "--j-max", "10",
+     "--kappa", "1e-3", "--eta", "0", "--no-circuits"],
+], ids=["fisher", "scaling"])
+def test_zero_total_qfi_exits_2(capsys, argv):
+    # a meter with no spread carries no information on g: no ratio, and no
+    # `Infinity` in the JSON or CSV output
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "total QFI is 0" in captured.err
 
 
 def test_weak_value_linear_family(capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -223,7 +225,10 @@ def test_block_solver_matches_dense_oracle(rng, two_j, cutoff, commutator):
 def test_eigenvectors_live_on_one_charge_block(rng, two_j, cutoff):
     p, psi0 = block_oracle_case(rng, two_j, cutoff)
     charge = conserved_charge(p).entries.real
-    _, _, evecs, _, _ = _frame_propagator(p, psi0)
+    _, blocks = _frame_propagator(p, psi0)
+    evecs = np.zeros((p.joint_dim, p.joint_dim), dtype=complex)
+    for idx, _, vecs, _ in blocks:
+        evecs[idx[:, :, None], idx[:, None, :]] = vecs
     np.testing.assert_allclose(evecs.conj().T @ evecs, np.eye(p.joint_dim), atol=1e-13)
     for vec in evecs.T:
         assert np.ptp(charge[vec != 0]) == 0
@@ -234,6 +239,21 @@ def test_charge_drift_at_roundoff_on_a_large_register(rng):
     p, psi0 = block_oracle_case(rng, 12, 20)
     trace = evolve_full(p, psi0, store_every=10)
     assert charge_drift(p, trace) <= 1e-14
+
+
+def test_fidelity_scan_allocates_no_joint_matrix():
+    # two_j=64, cutoff 20 (dim 1365): one dim x dim complex matrix is 30 MB,
+    # while the per-block eigenbasis and the pair scan stay near 1 MB
+    p = make_params(two_j=64, fock_cutoff=20, t_final=50.0, dt=0.05)
+    meter = coherent_state(FockSpace(20, tail_tolerance=1e-6), 0.25)
+    psi0 = joint_state(p, 0, meter.amplitudes)
+    tracemalloc.start()
+    try:
+        effective_model_fidelity(p, psi0, store_every=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_rk4_derivative_consistent_with_hamiltonian(rng):

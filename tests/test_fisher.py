@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,26 @@ def test_postselected_ratio_warns_outside_weak_regime():
     strat = strategy_nonlinear_joint(12, 1e-3, eta=0.05)
     with pytest.warns(UserWarning, match="weak-kick"):
         postselected_fisher_ratio(with_coupling(strat, 0.05))
+
+
+def test_postselected_ratio_rejects_zero_total_qfi():
+    # eta = 0: the vacuum meter has Var n = 0, so the joint state carries no
+    # information on g and there is no ratio to report
+    with pytest.raises(ValueError, match="total QFI is 0"):
+        postselected_fisher_ratio(strategy_nonlinear_joint(4, 1e-3, eta=0.0))
+
+
+def test_eta_abs_is_the_meter_spread():
+    # (|1> + |3>)/sqrt2 has <n> = 2 but Var n = 1; both predictions read
+    # |eta| as sqrt(Var_phi B), which equals |eta| for a coherent meter
+    strat = strategy_nonlinear_joint(12, 1e-3, eta=0.05)
+    amps = np.zeros(strat.meter_space.dim, dtype=complex)
+    amps[[1, 3]] = np.sqrt(0.5)
+    strat = dataclasses.replace(strat, phi_i=StateVector(amps.size, amps))
+    rep = postselected_fisher_ratio(strat)
+    kick = strat.g * abs(strat.weak_value())
+    assert rep.ratio_prediction == pytest.approx(0.5 * (1.0 - kick**2), rel=1e-12)
+    assert rep.small_eta_prediction == pytest.approx(2.0 * 6.0**4, rel=1e-12)
 
 
 def test_postselected_ratio_uncorrelated_runs():
