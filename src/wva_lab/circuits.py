@@ -1,11 +1,17 @@
-"""Full computational-basis simulation of the superposition-preparation and
+"""Computational-basis simulation of the superposition-preparation and
 postselection-measurement circuits built from an ancilla qubit, two 2j-qubit
 registers and a control-SWAP gate.
 
-Register layout is fixed: ancilla (most significant qubit) (x) register 1
-(x) register 2; the measurement circuit carries the meter as a trailing
-factor of register 1's subsystem. Dicke states are embedded directly as
-uniform superpositions of fixed-weight bitstrings (the unitaries that would
+The register is ancilla (x) register 1 (x) register 2, 2^(4j+1) amplitudes,
+but the circuits are simulated only on S x S, where S holds the register
+indices on which the Dicke embeddings of m1 or m2 have weight (see
+`_support`): every other amplitude is an exact zero, and the results are
+those of the full register bit for bit. At two_j = 10 with levels (0, -5),
+|S| = 253 of 1024 indices; with levels (j, -j), |S| = 2.
+
+The ancilla is the most significant qubit; the measurement circuit carries
+the meter as a trailing factor of register 1's subsystem. Dicke states are
+embedded directly as uniform superpositions of fixed-weight bitstrings (the unitaries that would
 prepare them on hardware are not decomposed into gates here).
 
 Ancilla conventions, resolved once and used everywhere:
@@ -32,7 +38,9 @@ import numpy as np
 from .linalg import StateVector
 from .spin import SpinSpace
 
-#: Full-amplitude simulation cap; 2^(4j+1) amplitudes beyond this are refused.
+#: Largest register of the brute-force circuits; larger ones are refused.
+#: The sweeps take the closed form above it, so raising it would move their
+#: `prep_prob` cells at two_j 12..20 onto the circuit's roundoff.
 MAX_REGISTER_TWO_J = 10
 
 REFERENCE_KINDS = ("plus_all", "dicke_superposition")
@@ -88,7 +96,7 @@ def _check_register(two_j: int):
         raise ValueError("two_j must be a positive integer")
     if two_j > MAX_REGISTER_TWO_J:
         raise ValueError(
-            f"register too large for full-amplitude simulation (two_j = {two_j} > "
+            f"register too large for brute-force simulation (two_j = {two_j} > "
             f"{MAX_REGISTER_TWO_J}); use the analytic-overlap functions instead")
 
 
@@ -105,19 +113,24 @@ def check_ancilla(alpha: complex, beta: complex):
         raise ValueError("|alpha|^2 + |beta|^2 must be 1")
 
 
+def _popcounts(two_j: int) -> np.ndarray:
+    """Number of ones in each register index 0 .. 2^two_j - 1 (the upper
+    half of the indices is the lower half with one more bit set;
+    `np.bitwise_count` would need NumPy 2)."""
+    counts = np.zeros(1, dtype=np.int64)
+    for _ in range(two_j):
+        counts = np.concatenate([counts, counts + 1])
+    return counts
+
+
 def embed_dicke(two_j: int, m: float) -> StateVector:
     """|j,m> as the uniform superposition of bitstrings with j+m ones,
     amplitude 1/sqrt(C(2j, j+m)), in a 2^(2j)-dimensional register."""
     _check_register(two_j)
-    k = SpinSpace(two_j).index_of(m)
-    ones = two_j - k  # j + m
-    dim = 2**two_j
-    amps = np.zeros(dim, dtype=complex)
-    weight = 1.0 / sqrt(comb(two_j, ones))
-    for idx in range(dim):
-        if idx.bit_count() == ones:
-            amps[idx] = weight
-    return StateVector(dim=dim, amplitudes=amps)
+    ones = two_j - SpinSpace(two_j).index_of(m)  # j + m
+    amps = np.zeros(2**two_j, dtype=complex)
+    amps[_popcounts(two_j) == ones] = 1.0 / sqrt(comb(two_j, ones))
+    return StateVector(dim=amps.size, amplitudes=amps)
 
 
 def reference_state(two_j: int, kind: str, m1: float | None = None,
@@ -141,13 +154,30 @@ def reference_overlap(zeta: ReferenceState, m: float) -> complex:
     return complex(np.vdot(embed_dicke(zeta.two_j, m).amplitudes, zeta.vector.amplitudes))
 
 
+def _swap_registers(block: np.ndarray) -> np.ndarray:
+    """Swap the register axes 1 and 2 of the ancilla-|1> branch of an
+    (ancilla, register 1, register 2, ...) amplitude tensor."""
+    out = block.copy()
+    out[1] = np.swapaxes(block[1], 0, 1)
+    return out
+
+
 def control_swap(state: CircuitRegisterState) -> CircuitRegisterState:
     """Swap registers 1 and 2 on the ancilla-|1> component. Unitary, involutive."""
     d = 2**state.two_j
-    block = state.amplitudes.reshape(2, d, d)
-    out = block.copy()
-    out[1] = block[1].T
+    out = _swap_registers(state.amplitudes.reshape(2, d, d))
     return CircuitRegisterState(two_j=state.two_j, amplitudes=out.reshape(-1))
+
+
+def _support(emb1: np.ndarray, emb2: np.ndarray) -> np.ndarray:
+    """S, the ascending register indices where either embedding has weight.
+
+    The control-SWAP maps S x S onto itself and the circuits read both
+    registers only through the two embeddings, so every amplitude off S x S
+    is an exact zero. Dropping those zero terms keeps the order of the kept
+    ones in each `einsum` sum, so the results are the full-register ones bit
+    for bit."""
+    return np.flatnonzero((emb1 != 0) | (emb2 != 0))
 
 
 def prep_circuit(two_j: int, m1: float, m2: float, alpha: complex, beta: complex,
@@ -168,18 +198,17 @@ def prep_circuit(two_j: int, m1: float, m2: float, alpha: complex, beta: complex
     if abs(z1) < 1e-14 or abs(z2) < 1e-14:
         raise ValueError("reference state must overlap both Dicke components")
 
-    d = 2**two_j
     emb1 = embed_dicke(two_j, m1).amplitudes
     emb2 = embed_dicke(two_j, m2).amplitudes
+    s = _support(emb1, emb2)
     anc = np.array([alpha, beta], dtype=complex)
-    r1 = np.einsum("a,i,k->aik", anc, emb1, emb2).reshape(-1)
-    r2 = control_swap(CircuitRegisterState(two_j=two_j, amplitudes=r1))
+    block = _swap_registers(np.einsum("a,i,k->aik", anc, emb1[s], emb2[s]))
 
     # Contract the ancilla against the overlap-weighted direction (kept
     # unnormalized by convention) and register 2 against zeta.
     w = np.array([abs(z1), abs(z2)])
-    block = r2.amplitudes.reshape(2, d, d)
-    middle = np.einsum("a,aik,k->i", w, block, zeta.vector.amplitudes.conj())
+    middle = np.zeros(2**two_j, dtype=complex)
+    middle[s] = np.einsum("a,aik,k->i", w, block, zeta.vector.amplitudes[s].conj())
     success = float(np.vdot(middle, middle).real)
     ancilla_normalized = success / float(w @ w)
 
@@ -242,17 +271,17 @@ def prep_probability_conventions(two_j: int) -> dict:
     }
 
 
-def _embed_joint(two_j: int, joint: StateVector, meter_dim: int) -> np.ndarray:
-    """Map a Dicke-basis system (x) meter state onto the 2^(2j) register,
-    returning an array of shape (2^(2j), meter_dim)."""
+def _embed_joint(two_j: int, joint: StateVector, meter_dim: int,
+                 rows: np.ndarray) -> np.ndarray:
+    """Map a Dicke-basis system (x) meter state onto the 2^(2j) register and
+    keep the register indices `rows`: an array of shape (len(rows), meter_dim)."""
     space = SpinSpace(two_j)
     if joint.dim != space.dim * meter_dim:
         raise ValueError("joint state dimension must be (two_j + 1) * meter_dim")
     block = joint.amplitudes.reshape(space.dim, meter_dim)
-    d = 2**two_j
-    out = np.zeros((d, meter_dim), dtype=complex)
+    out = np.zeros((rows.size, meter_dim), dtype=complex)
     for k, m in enumerate(space.m_values()):
-        out += np.outer(embed_dicke(two_j, m).amplitudes, block[k])
+        out += np.outer(embed_dicke(two_j, m).amplitudes[rows], block[k])
     return out
 
 
@@ -277,15 +306,13 @@ def measure_circuit(two_j: int, joint_state: StateVector, m1: float, m2: float,
     nu = lam * np.array([np.conj(z1), np.conj(z2)])
     anc = np.array([np.conj(alpha), np.conj(beta)])
 
-    d = 2**two_j
-    psi_emb = _embed_joint(two_j, joint_state, meter_dim)  # (d, meter)
-    amps = np.einsum("a,if,k->aikf", anc, psi_emb, zeta.vector.amplitudes)
-    swapped = amps.copy()
-    swapped[1] = np.transpose(amps[1], (1, 0, 2))
-
     emb1 = embed_dicke(two_j, m1).amplitudes
     emb2 = embed_dicke(two_j, m2).amplitudes
-    meter = np.einsum("a,aikf,i,k->f", nu.conj(), swapped, emb1.conj(), emb2.conj())
+    s = _support(emb1, emb2)
+    psi_emb = _embed_joint(two_j, joint_state, meter_dim, s)  # (|S|, meter)
+    swapped = _swap_registers(
+        np.einsum("a,if,k->aikf", anc, psi_emb, zeta.vector.amplitudes[s]))
+    meter = np.einsum("a,aikf,i,k->f", nu.conj(), swapped, emb1[s].conj(), emb2[s].conj())
     p_tilde = float(np.vdot(meter, meter).real)
     if p_tilde < 1e-300:
         raise ValueError("measurement probability underflow")
@@ -300,7 +327,7 @@ def measure_probability_analytic(two_j: int, m1: float, m2: float,
     |j,m1> and |j,m2> (`measure_circuit` implements |psi_f><psi_f| on the
     system, so only the prefactor depends on the circuit).
 
-    Accepts a reference kind string so it works beyond the full-amplitude
+    Accepts a reference kind string so it works beyond the brute-force
     register cap.
     """
     if isinstance(zeta, ReferenceState):

@@ -301,8 +301,8 @@ def cmd_dynamics(cfg: RunConfig) -> int:
     two_j = _integer(cfg, "two_j", 2)
     g0 = _positive(cfg, "g0")
     delta = float(cfg.require("delta_minus"))
-    if delta == 0.0:  # before the default t_final and dt divide by it
-        raise ConfigError("delta_minus must be nonzero")
+    if delta == 0.0 or not np.isfinite(delta):  # before the default t_final and dt divide by it
+        raise ConfigError(f"delta_minus must be nonzero and finite, got {delta}")
     cutoff = _integer(cfg, "fock_cutoff", 6)
     g_disp = 4.0 * g0**2 / delta
     t_final = float(cfg.get("t_final", 2 * np.pi / abs(g_disp)))

@@ -14,9 +14,10 @@ same configuration produce byte-identical output. A record evolves and
 projects its joint state once, in `fisher.postselected_fisher_ratio`; the
 measurement-circuit column is the reference-overlap prefactor times that
 exact P_s, and the preparation column runs the brute-force circuit only
-within the register cap. The collective families' observables are diagonal
-and stored as vectors, so one record costs O(two_j) memory and the sweeps
-reach two_j = 10^5.
+within the register cap (two_j <= 10), on the support of the two Dicke
+embeddings: about 5 ms per record at two_j = 10. The collective families'
+observables are diagonal and stored as vectors, so one record costs
+O(two_j) memory and the sweeps reach two_j = 10^5.
 """
 
 from __future__ import annotations

@@ -120,7 +120,7 @@ def postselected_fisher_ratio(strategy: WeakValueStrategy) -> FisherReport:
                       "outside the weak-kick regime", stacklevel=2)
 
     total = qfi_product(strategy.A, strategy.psi_i, strategy.B, strategy.phi_i)
-    if total <= 0.0:
+    if not total > 0.0:
         raise ValueError("total QFI is 0: the joint state carries no information on g")
 
     joint = evolved_joint(strategy)

@@ -168,6 +168,8 @@ def max_weak_value_bound(psi_i: StateVector, A: Operator, target_ps: float) -> f
 
 
 def _default_meter(eta: complex, headroom: int = 2):
+    if not np.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta}")
     space = FockSpace.for_coherent(eta, headroom=headroom)
     return space, coherent_state(space, eta), op_number(space)
 

@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 from math import comb, sqrt
 
 import numpy as np
@@ -7,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wva_lab import circuits as C
-from wva_lab.experiments import sweep
+from wva_lab.experiments import FAMILIES, sweep
 from wva_lab.linalg import StateVector, fidelity, inner
 from wva_lab.spin import SpinSpace
 from wva_lab.wva import evolved_joint, postselect, strategy_linear_optimal, strategy_nonlinear_joint
+
+from conftest import FAMILY_PARAMETERS
+from full_register_oracle import embed_dicke_loop, full_measure_circuit, full_prep_circuit
 
 
 def test_embed_dicke_two_qubits():
@@ -29,6 +34,13 @@ def test_embed_overlap_with_plus_reference(two_j):
         assert ov.real == pytest.approx(2.0 ** (-two_j / 2) * sqrt(comb(two_j, ones)),
                                         abs=1e-12)
         assert ov.imag == 0.0
+
+
+def test_embed_dicke_matches_the_index_loop_bit_for_bit():
+    for two_j in range(1, C.MAX_REGISTER_TWO_J + 1):
+        for m in SpinSpace(two_j).m_values():
+            got = C.embed_dicke(two_j, m).amplitudes
+            assert got.tobytes() == embed_dicke_loop(two_j, m).tobytes()
 
 
 def test_embed_register_cap():
@@ -264,3 +276,73 @@ def test_closed_form_weights_are_correctly_rounded(two_j):
     if two_j <= 400:  # where the weights are normal, the old float formula agrees bit for bit
         assert conv["normalized_dicke"] == 2.0 ** (-2 * two_j) * comb(two_j, j)
         assert conv["unnormalized_dicke"] == 2.0 ** (-2 * two_j) * comb(two_j, j) ** 2
+
+
+# ------------------------------------------------------ full-register oracle
+
+ANCILLAS = ((1 / sqrt(2), 1 / sqrt(2)), (0.8, 0.6j), (0.6, -0.8))
+
+
+def _prep_bits(res):
+    return (res.output_system.amplitudes.tobytes(),
+            np.array([res.success_prob, res.ancilla_normalized_prob, res.leakage]).tobytes())
+
+
+def _measure_bits(res):
+    return res.conditional_meter.amplitudes.tobytes(), np.float64(res.p_tilde).tobytes()
+
+
+@pytest.mark.parametrize("two_j", range(1, 9))
+def test_prep_matches_full_register_oracle_bit_for_bit(two_j):
+    # every level pair; the reference kind and the ancilla cycle over the pairs
+    pairs = combinations(SpinSpace(two_j).m_values(), 2)
+    for n, (m1, m2) in enumerate(pairs):
+        kind = C.REFERENCE_KINDS[n % 2]
+        alpha, beta = ANCILLAS[n % 3]
+        zeta = C.reference_state(two_j, kind, m1, m2)
+        got = C.prep_circuit(two_j, m1, m2, alpha, beta, zeta)
+        assert _prep_bits(got) == _prep_bits(full_prep_circuit(two_j, m1, m2, alpha, beta, zeta))
+
+
+def test_prep_matches_full_register_oracle_at_the_sweep_operating_points():
+    # what a sweep record runs at the register cap: |+>^(2j), equal ancilla
+    two_j = C.MAX_REGISTER_TWO_J
+    zeta = C.reference_state(two_j, "plus_all")
+    for m1, m2 in {fam.levels(two_j / 2) for fam in FAMILIES.values() if fam.levels}:
+        got = C.prep_circuit(two_j, m1, m2, *ANCILLAS[0], zeta)
+        assert _prep_bits(got) == _prep_bits(full_prep_circuit(two_j, m1, m2, *ANCILLAS[0], zeta))
+
+
+@pytest.mark.parametrize("two_j", [4, 6, 8])
+@pytest.mark.parametrize("family", ["linear_fixed_aw", "nonlinear_joint"])
+def test_measure_matches_full_register_oracle_bit_for_bit(family, two_j):
+    fam = FAMILIES[family]
+    strat = fam.build(two_j, FAMILY_PARAMETERS[family], g=1e-4)
+    m1, m2, alpha, beta = fam.components(strat)
+    joint, meter_dim = evolved_joint(strat), strat.meter_space.dim
+    for kind in C.REFERENCE_KINDS:
+        zeta = C.reference_state(two_j, kind, m1, m2)
+        got = C.measure_circuit(two_j, joint, m1, m2, alpha, beta, zeta, meter_dim)
+        want = full_measure_circuit(two_j, joint, m1, m2, alpha, beta, zeta, meter_dim)
+        assert _measure_bits(got) == _measure_bits(want)
+
+
+def _peak_mb(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_circuits_at_the_register_cap_stay_on_the_embedding_support():
+    # the full register would be 2 x 1024 x 1024 amplitudes: 134 MB for prep,
+    # 470 MB for measure with its 7-level meter
+    two_j = C.MAX_REGISTER_TWO_J
+    zeta = C.reference_state(two_j, "plus_all")
+    assert _peak_mb(lambda: C.prep_circuit(two_j, 0, -5, *ANCILLAS[0], zeta)) < 10.0
+    strat, alpha, beta, joint = _nonlinear_pieces(two_j, 1e-3, g=1e-4)
+    zeta = C.reference_state(two_j, "dicke_superposition", 0, -5)
+    assert _peak_mb(lambda: C.measure_circuit(two_j, joint, 0, -5, alpha, beta, zeta,
+                                              strat.meter_space.dim)) < 60.0

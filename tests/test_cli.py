@@ -1,5 +1,6 @@
 import json
 import pathlib
+import warnings
 
 import pytest
 
@@ -205,6 +206,35 @@ def test_dynamics_validation_exits_2(capsys):
     # the default t_final and dt divide by delta_minus
     assert run(["dynamics", "--g0", "0.02", "--delta-minus", "0"]) == 2
     assert "delta_minus must be nonzero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--delta-minus", "1", "--t-final", "inf"], "t_final must be finite"),
+    (["--delta-minus", "1", "--dt", "nan"], "dt must be finite"),
+    (["--delta-minus", "nan"], "delta_minus must be nonzero and finite"),
+    (["--delta-minus", "inf"], "delta_minus must be nonzero and finite"),
+])
+def test_dynamics_non_finite_parameters_exit_2(capsys, argv, message):
+    # inf used to overflow in the time grid (a traceback, exit 1), and nan
+    # reached int() before any check named it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["dynamics", "--g0", "0.02"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("command", ["fisher", "weak-value"])
+def test_non_finite_eta_exits_2(capsys, command):
+    # `fisher --eta nan` used to exit 0 and print NaN, which is not JSON
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--two-j", "4", "--kappa", "0.001", "--eta", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: eta must be finite, got (nan+0j)\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from wva_lab import dynamics
 from wva_lab.boson import FockSpace, coherent_state
 from wva_lab.dynamics import (
     EvolutionTrace,
@@ -17,7 +18,7 @@ from wva_lab.dynamics import (
     evolve_full,
     hamiltonian_full,
 )
-from wva_lab.linalg import StateVector, expm_i, fidelity, tensor
+from wva_lab.linalg import Operator, StateVector, expm_i, fidelity, tensor
 from wva_lab.spin import SpinSpace, collective_op, dicke_state, nonlinear_observable
 from wva_lab.boson import op_number
 
@@ -58,6 +59,10 @@ def test_params_validation():
         make_params(dt=0.2)
     with pytest.raises(ValueError, match="nonzero"):
         make_params(delta_minus=0.0)
+    for name in ("g0", "delta_minus", "t_final", "dt"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                make_params(**{name: bad})
     assert make_params().g_dispersive == pytest.approx(4 * 0.02**2)
 
 
@@ -104,6 +109,36 @@ def test_hamiltonian_matrix_element_ladder():
 def test_conserved_charge_commutes():
     p = make_params(two_j=4, fock_cutoff=6)
     assert conservation_residual(p) < 1e-10
+
+
+def _dense_residual(p, t=0.237):
+    h = hamiltonian_full(p, t).entries
+    q = dynamics.conserved_charge(p).entries.real
+    return float(np.max(np.abs(h * q[None, :] - q[:, None] * h)))
+
+
+def test_conservation_residual_matches_the_dense_commutator(monkeypatch):
+    p = make_params(two_j=5, fock_cutoff=7)
+    assert conservation_residual(p) == _dense_residual(p) == 0.0
+    # J+ a^2 moves 2Jz + 2n by -2, so the sparse form must see it too
+    m = SpinSpace(p.two_j).m_values()
+    wrong = Operator.from_diagonal((2.0 * m[:, None] + 2.0 * np.arange(8)).ravel())
+    monkeypatch.setattr(dynamics, "conserved_charge", lambda params: wrong)
+    assert conservation_residual(p) == pytest.approx(_dense_residual(p), rel=1e-15)
+    assert conservation_residual(p) > 0.0
+
+
+def test_conservation_residual_builds_no_dense_hamiltonian():
+    # the dense H(t) at two_j=64, cutoff 20 (dim 1365) alone is 30 MB, and
+    # the old entrywise commutator peaked at 179 MB
+    p = make_params(two_j=64, fock_cutoff=20)
+    tracemalloc.start()
+    try:
+        assert conservation_residual(p) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 # ----------------------------------------------------------------- evolve

@@ -179,6 +179,14 @@ def test_postselected_ratio_rejects_zero_total_qfi():
         postselected_fisher_ratio(strategy_nonlinear_joint(4, 1e-3, eta=0.0))
 
 
+def test_postselected_ratio_rejects_a_nan_total_qfi():
+    # a NaN meter passes `total <= 0`; the ratio would be NaN, not an error
+    strat = strategy_nonlinear_joint(4, 1e-3, eta=0.1)
+    nan_meter = StateVector(strat.meter_space.dim, np.full(strat.meter_space.dim, np.nan))
+    with pytest.raises(ValueError, match="total QFI is 0"):
+        postselected_fisher_ratio(dataclasses.replace(strat, phi_i=nan_meter))
+
+
 def test_eta_abs_is_the_meter_spread():
     # (|1> + |3>)/sqrt2 has <n> = 2 but Var n = 1; both predictions read
     # |eta| as sqrt(Var_phi B), which equals |eta| for a coherent meter

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from wva_lab.boson import op_number
 from wva_lab.linalg import NullPostselectionError, Operator, StateVector, expm_i, fidelity, inner, tensor
 from wva_lab.spin import SpinSpace, collective_op, dicke_state, nonlinear_observable, superpose_dicke, variance
+from wva_lab.experiments import FAMILIES
 from wva_lab.wva import (
     centered_quadrature,
     collective_success,
@@ -28,7 +29,7 @@ from wva_lab.wva import (
     with_coupling,
 )
 
-from conftest import random_state
+from conftest import FAMILY_PARAMETERS, random_state
 
 
 # ---------------------------------------------------------------- weak value
@@ -269,6 +270,13 @@ def test_strategy_validation():
         strategy_nonlinear_joint(40, 1e-2)  # kappa j^2 = 4
     with pytest.raises(ValueError, match="epsilon"):
         strategy_near_deterministic(4, 1.5)
+
+
+@pytest.mark.parametrize("eta", [np.nan, np.inf, complex(0.1, np.nan)])
+@pytest.mark.parametrize("fam", FAMILIES.values(), ids=lambda fam: fam.name)
+def test_every_strategy_rejects_a_non_finite_eta(fam, eta):
+    with pytest.raises(ValueError, match="eta must be finite"):
+        fam.build(4, FAMILY_PARAMETERS[fam.name], eta=eta)
 
 
 def test_consistency_chain():
