@@ -3,11 +3,14 @@ postselection-measurement circuits built from an ancilla qubit, two 2j-qubit
 registers and a control-SWAP gate.
 
 The register is ancilla (x) register 1 (x) register 2, 2^(4j+1) amplitudes,
-but the circuits are simulated only on S x S, where S holds the register
-indices on which the Dicke embeddings of m1 or m2 have weight (see
-`_support`): every other amplitude is an exact zero, and the results are
-those of the full register bit for bit. At two_j = 10 with levels (0, -5),
-|S| = 253 of 1024 indices; with levels (j, -j), |S| = 2.
+but each control-SWAP branch is simulated only on its own nonzero block. With
+S1 and S2 the register indices on which the Dicke embeddings of m1 and m2
+have weight (disjoint when m1 != m2: the levels have different Hamming
+weights), the ancilla-|0> branch lives on S1 x S2 and the swapped ancilla-|1> branch on
+S2 x S1. Every other amplitude is an exact zero; dropping those terms keeps
+the order of the kept ones in each `einsum` sum, so the results are those of
+the full register bit for bit. At two_j = 10 with levels (0, -5), each branch
+holds 252 x 1 of the 2^20 amplitudes.
 
 The ancilla is the most significant qubit; the measurement circuit carries
 the meter as a trailing factor of register 1's subsystem. Dicke states are
@@ -123,13 +126,22 @@ def _popcounts(two_j: int) -> np.ndarray:
     return counts
 
 
+def _dicke_embeddings(two_j: int) -> np.ndarray:
+    """The embeddings of every level, one row per level in the order of
+    `SpinSpace.m_values` (row k has j + m = two_j - k ones), from one
+    popcount table: a (2j+1, 2^(2j)) array."""
+    ones = _popcounts(two_j)
+    weights = np.array([1.0 / sqrt(comb(two_j, n)) for n in range(two_j + 1)])
+    rows = np.zeros((two_j + 1, ones.size), dtype=complex)
+    rows[two_j - ones, np.arange(ones.size)] = weights[ones]
+    return rows
+
+
 def embed_dicke(two_j: int, m: float) -> StateVector:
     """|j,m> as the uniform superposition of bitstrings with j+m ones,
     amplitude 1/sqrt(C(2j, j+m)), in a 2^(2j)-dimensional register."""
     _check_register(two_j)
-    ones = two_j - SpinSpace(two_j).index_of(m)  # j + m
-    amps = np.zeros(2**two_j, dtype=complex)
-    amps[_popcounts(two_j) == ones] = 1.0 / sqrt(comb(two_j, ones))
+    amps = _dicke_embeddings(two_j)[SpinSpace(two_j).index_of(m)]
     return StateVector(dim=amps.size, amplitudes=amps)
 
 
@@ -143,7 +155,8 @@ def reference_state(two_j: int, kind: str, m1: float | None = None,
     if kind == "dicke_superposition":
         if m1 is None or m2 is None:
             raise ValueError("dicke_superposition reference needs m1 and m2")
-        amps = (embed_dicke(two_j, m1).amplitudes + embed_dicke(two_j, m2).amplitudes) / sqrt(2.0)
+        embs, space = _dicke_embeddings(two_j), SpinSpace(two_j)
+        amps = (embs[space.index_of(m1)] + embs[space.index_of(m2)]) / sqrt(2.0)
         return ReferenceState(kind=kind, two_j=two_j, vector=StateVector.of(amps),
                               m1=m1, m2=m2)
     raise ValueError(f"unknown reference kind {kind!r}; valid: {REFERENCE_KINDS}")
@@ -154,30 +167,25 @@ def reference_overlap(zeta: ReferenceState, m: float) -> complex:
     return complex(np.vdot(embed_dicke(zeta.two_j, m).amplitudes, zeta.vector.amplitudes))
 
 
-def _swap_registers(block: np.ndarray) -> np.ndarray:
-    """Swap the register axes 1 and 2 of the ancilla-|1> branch of an
-    (ancilla, register 1, register 2, ...) amplitude tensor."""
-    out = block.copy()
-    out[1] = np.swapaxes(block[1], 0, 1)
-    return out
-
-
 def control_swap(state: CircuitRegisterState) -> CircuitRegisterState:
     """Swap registers 1 and 2 on the ancilla-|1> component. Unitary, involutive."""
     d = 2**state.two_j
-    out = _swap_registers(state.amplitudes.reshape(2, d, d))
+    block = state.amplitudes.reshape(2, d, d)
+    out = block.copy()
+    out[1] = block[1].T
     return CircuitRegisterState(two_j=state.two_j, amplitudes=out.reshape(-1))
 
 
-def _support(emb1: np.ndarray, emb2: np.ndarray) -> np.ndarray:
-    """S, the ascending register indices where either embedding has weight.
-
-    The control-SWAP maps S x S onto itself and the circuits read both
-    registers only through the two embeddings, so every amplitude off S x S
-    is an exact zero. Dropping those zero terms keeps the order of the kept
-    ones in each `einsum` sum, so the results are the full-register ones bit
-    for bit."""
-    return np.flatnonzero((emb1 != 0) | (emb2 != 0))
+def _circuit_levels(two_j: int, m1: float, m2: float, zeta: ReferenceState):
+    """The embeddings of every level, those of m1 and m2, and the reference
+    overlaps <j,m1|zeta> and <j,m2|zeta>, which must not vanish."""
+    embs = _dicke_embeddings(two_j)
+    space = SpinSpace(two_j)
+    emb1, emb2 = embs[space.index_of(m1)], embs[space.index_of(m2)]
+    z1, z2 = (complex(np.vdot(emb, zeta.vector.amplitudes)) for emb in (emb1, emb2))
+    if abs(z1) < 1e-14 or abs(z2) < 1e-14:
+        raise ValueError("reference state must overlap both Dicke components")
+    return embs, emb1, emb2, z1, z2
 
 
 def prep_circuit(two_j: int, m1: float, m2: float, alpha: complex, beta: complex,
@@ -193,29 +201,26 @@ def prep_circuit(two_j: int, m1: float, m2: float, alpha: complex, beta: complex
     _check_register(two_j)
     _check_levels(m1, m2)
     check_ancilla(alpha, beta)
-    z1 = reference_overlap(zeta, m1)
-    z2 = reference_overlap(zeta, m2)
-    if abs(z1) < 1e-14 or abs(z2) < 1e-14:
-        raise ValueError("reference state must overlap both Dicke components")
-
-    emb1 = embed_dicke(two_j, m1).amplitudes
-    emb2 = embed_dicke(two_j, m2).amplitudes
-    s = _support(emb1, emb2)
+    embs, emb1, emb2, z1, z2 = _circuit_levels(two_j, m1, m2, zeta)
+    s1, s2 = np.flatnonzero(emb1), np.flatnonzero(emb2)
+    # Branch a before the swap is anc[a] e1[i] e2[k], nonzero on S1 x S2.
     anc = np.array([alpha, beta], dtype=complex)
-    block = _swap_registers(np.einsum("a,i,k->aik", anc, emb1[s], emb2[s]))
+    branches = np.einsum("a,i,k->aik", anc, emb1[s1], emb2[s2])
 
     # Contract the ancilla against the overlap-weighted direction (kept
-    # unnormalized by convention) and register 2 against zeta.
+    # unnormalized by convention) and register 2 against zeta. Branch 0 is
+    # not swapped and writes the rows S1; the swap moves branch 1 onto
+    # S2 x S1, rows S2. The rows are disjoint, so no sum adds the branches.
     w = np.array([abs(z1), abs(z2)])
+    zeta_conj = zeta.vector.amplitudes.conj()
     middle = np.zeros(2**two_j, dtype=complex)
-    middle[s] = np.einsum("a,aik,k->i", w, block, zeta.vector.amplitudes[s].conj())
+    middle[s1] = np.einsum("a,aik,k->i", w[:1], branches[:1], zeta_conj[s2])
+    middle[s2] = np.einsum("a,aik,k->i", w[1:], np.swapaxes(branches[1:], 1, 2).copy(),
+                           zeta_conj[s1])
     success = float(np.vdot(middle, middle).real)
     ancilla_normalized = success / float(w @ w)
 
-    space = SpinSpace(two_j)
-    coeffs = np.zeros(space.dim, dtype=complex)
-    for k, m in enumerate(space.m_values()):
-        coeffs[k] = np.vdot(embed_dicke(two_j, m).amplitudes, middle)
+    coeffs = np.array([np.vdot(emb, middle) for emb in embs])
     leakage = float(np.vdot(middle, middle).real - np.vdot(coeffs, coeffs).real)
     return PrepCircuitResult(
         output_system=StateVector.of(coeffs),
@@ -271,17 +276,13 @@ def prep_probability_conventions(two_j: int) -> dict:
     }
 
 
-def _embed_joint(two_j: int, joint: StateVector, meter_dim: int,
-                 rows: np.ndarray) -> np.ndarray:
-    """Map a Dicke-basis system (x) meter state onto the 2^(2j) register and
-    keep the register indices `rows`: an array of shape (len(rows), meter_dim)."""
-    space = SpinSpace(two_j)
-    if joint.dim != space.dim * meter_dim:
-        raise ValueError("joint state dimension must be (two_j + 1) * meter_dim")
-    block = joint.amplitudes.reshape(space.dim, meter_dim)
-    out = np.zeros((rows.size, meter_dim), dtype=complex)
-    for k, m in enumerate(space.m_values()):
-        out += np.outer(embed_dicke(two_j, m).amplitudes[rows], block[k])
+def _embed_joint(block: np.ndarray, embs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Map a Dicke-basis system (x) meter state, as its (2j+1, meter_dim)
+    amplitude block, onto the register and keep the register indices `rows`:
+    an array of shape (len(rows), meter_dim)."""
+    out = np.zeros((rows.size, block.shape[1]), dtype=complex)
+    for emb, amps in zip(embs[:, rows], block):
+        out += np.outer(emb, amps)
     return out
 
 
@@ -297,22 +298,25 @@ def measure_circuit(two_j: int, joint_state: StateVector, m1: float, m2: float,
     measurement probability including the reference-overlap prefactor.
     """
     _check_register(two_j)
-    z1 = reference_overlap(zeta, m1)
-    z2 = reference_overlap(zeta, m2)
-    if abs(z1) < 1e-14 or abs(z2) < 1e-14:
-        raise ValueError("reference state must overlap both Dicke components")
+    embs, emb1, emb2, z1, z2 = _circuit_levels(two_j, m1, m2, zeta)
+    if joint_state.dim != (two_j + 1) * meter_dim:
+        raise ValueError("joint state dimension must be (two_j + 1) * meter_dim")
     lam = 1.0 / sqrt(abs(z1) ** 2 + abs(z2) ** 2)
     # <nu|0> = lam <j,m1|zeta> requires nu components lam conj(<j,m1|zeta>).
     nu = lam * np.array([np.conj(z1), np.conj(z2)])
     anc = np.array([np.conj(alpha), np.conj(beta)])
 
-    emb1 = embed_dicke(two_j, m1).amplitudes
-    emb2 = embed_dicke(two_j, m2).amplitudes
-    s = _support(emb1, emb2)
-    psi_emb = _embed_joint(two_j, joint_state, meter_dim, s)  # (|S|, meter)
-    swapped = _swap_registers(
-        np.einsum("a,if,k->aikf", anc, psi_emb, zeta.vector.amplitudes[s]))
-    meter = np.einsum("a,aikf,i,k->f", nu.conj(), swapped, emb1[s].conj(), emb2[s].conj())
+    # The final contraction carries e1*[i] e2*[k], so every nonzero term of
+    # both branches has i in S1 and k in S2: branch 0 (not swapped) needs the
+    # joint state on S1 and zeta on S2; branch 1, on S2 x S1 before the swap,
+    # the joint state on S2 and zeta on S1.
+    s1, s2 = np.flatnonzero(emb1), np.flatnonzero(emb2)
+    block = joint_state.amplitudes.reshape(two_j + 1, meter_dim)
+    zeta_amps = zeta.vector.amplitudes
+    kept = np.einsum("a,if,k->aikf", anc[:1], _embed_joint(block, embs, s1), zeta_amps[s2])
+    swapped = np.einsum("a,if,k->aikf", anc[1:], _embed_joint(block, embs, s2), zeta_amps[s1])
+    branches = np.concatenate([kept, np.swapaxes(swapped, 1, 2)])  # (2, |S1|, |S2|, meter)
+    meter = np.einsum("a,aikf,i,k->f", nu.conj(), branches, emb1[s1].conj(), emb2[s2].conj())
     p_tilde = float(np.vdot(meter, meter).real)
     if p_tilde < 1e-300:
         raise ValueError("measurement probability underflow")

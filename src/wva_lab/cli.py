@@ -304,7 +304,13 @@ def cmd_dynamics(cfg: RunConfig) -> int:
     if delta == 0.0 or not np.isfinite(delta):  # before the default t_final and dt divide by it
         raise ConfigError(f"delta_minus must be nonzero and finite, got {delta}")
     cutoff = _integer(cfg, "fock_cutoff", 6)
-    g_disp = 4.0 * g0**2 / delta
+    try:
+        g_disp = 4.0 * g0**2 / delta
+    except OverflowError:  # g0**2 beyond the float range
+        g_disp = np.inf
+    if g_disp == 0.0 or not np.isfinite(g_disp):  # before the default t_final divides by it
+        raise ConfigError(f"g_dispersive = 4 g0^2 / delta_minus must be nonzero and finite, "
+                          f"got {g_disp} for g0 = {g0}, delta_minus = {delta}")
     t_final = float(cfg.get("t_final", 2 * np.pi / abs(g_disp)))
     dt = float(cfg.get("dt", 0.05 / abs(delta)))
     params = dynamics.TwoPhotonTCParams(two_j=two_j, g0=g0, delta_minus=delta,

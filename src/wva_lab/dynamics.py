@@ -65,6 +65,9 @@ class TwoPhotonTCParams:
             raise ValueError("t_final and dt must be positive")
         if self.dt * abs(self.delta_minus) > 0.05 + 1e-12:
             raise ValueError("dt too coarse: need dt * |delta_minus| <= 0.05")
+        if not np.isfinite(self.t_final / self.dt):  # `time_grid` takes int() of it
+            raise ValueError(f"t_final / dt = {self.t_final} / {self.dt} overflows: "
+                             "no finite step count")
 
     @property
     def g_dispersive(self) -> float:

@@ -14,8 +14,8 @@ same configuration produce byte-identical output. A record evolves and
 projects its joint state once, in `fisher.postselected_fisher_ratio`; the
 measurement-circuit column is the reference-overlap prefactor times that
 exact P_s, and the preparation column runs the brute-force circuit only
-within the register cap (two_j <= 10), on the support of the two Dicke
-embeddings: about 5 ms per record at two_j = 10. The collective families'
+within the register cap (two_j <= 10), each control-SWAP branch on its own
+nonzero block: about 0.2 ms per record at two_j = 10. The collective families'
 observables are diagonal and stored as vectors, so one record costs
 O(two_j) memory and the sweeps reach two_j = 10^5.
 """
@@ -138,10 +138,11 @@ def _circuit_probs(fam: Family, strat: WeakValueStrategy, success_prob: float):
     probability `success_prob`, at every size."""
     two_j = strat.system_space.two_j
     m1, m2 = fam.levels(strat.system_space.j)
-    # Brute force within the register cap: at two_j = 8 the exact weight
-    # 70 x 2^-16 sits on a 12-digit tie that the brute-force roundoff prints
-    # as ...437 and the closed form as ...438, and the recorded CLI reference
-    # holds ...437 (ROADMAP item 2 re-records it).
+    # Brute force within the register cap (each branch on its nonzero
+    # block, 2 x 252 x 1 amplitudes at two_j = 10): at two_j = 8 the exact
+    # weight 70 x 2^-16 sits on a 12-digit tie that the brute-force roundoff
+    # prints as ...437 and the closed form as ...438, and the recorded CLI
+    # reference holds ...437 (ROADMAP item 2 re-records it).
     if two_j <= circuits.MAX_REGISTER_TWO_J:
         zeta_prep = circuits.reference_state(two_j, "plus_all")
         prep = circuits.prep_circuit(two_j, m1, m2, 1 / np.sqrt(2), 1 / np.sqrt(2),

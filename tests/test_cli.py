@@ -226,6 +226,24 @@ def test_dynamics_non_finite_parameters_exit_2(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--g0", "1e-200", "--delta-minus", "1"], "g_dispersive = 4 g0^2 / delta_minus must be"),
+    (["--g0", "1e200", "--delta-minus", "1e201"], "g_dispersive = 4 g0^2 / delta_minus must be"),
+    (["--g0", "0.02", "--delta-minus", "1e300"], "no finite step count"),
+], ids=["g-disp-underflows", "g-disp-overflows", "step-count-overflows"])
+def test_dynamics_degenerate_defaults_exit_2(capsys, argv, message):
+    # finite inputs whose derived defaults vanish or overflow: the default
+    # t_final used to divide by a g_dispersive of 0.0 (ZeroDivisionError),
+    # and t_final / dt = inf reached int() in the time grid (OverflowError)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["dynamics"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("command", ["fisher", "weak-value"])
 def test_non_finite_eta_exits_2(capsys, command):
     # `fisher --eta nan` used to exit 0 and print NaN, which is not JSON

@@ -63,6 +63,9 @@ def test_params_validation():
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 make_params(**{name: bad})
+    # t_final / dt = inf used to reach int() in `time_grid` as an OverflowError
+    with pytest.raises(ValueError, match="no finite step count"):
+        make_params(t_final=1e300, dt=1e-10)
     assert make_params().g_dispersive == pytest.approx(4 * 0.02**2)
 
 
