@@ -1,0 +1,145 @@
+#!/usr/bin/env python3
+"""Lockstep A/B of one perfbench workload in two checkouts.
+
+    python3 scripts/ab_passes.py PARENT CHANGE --workload NAME --rounds N
+
+Starts one child interpreter per checkout. Each child imports its own
+``src/wva_lab`` and ``perfbench/workloads.py``, with BLAS pinned to one
+thread as in ``perfbench/run.py``, builds the workload once and then runs
+one pass per request with ``perfbench/run.py``'s ``run_pass``, replying with
+the pass's busy time (its tasks plus finishing the pass). The first pass of
+each side is checked and not timed: a side whose first pass fails a check is
+rejected. Then every round asks both sides for one pass with the same seed,
+alternating which side goes first, so drift of the host falls on both.
+
+Prints each side's median tasks/s over the rounds and the median and
+quartiles of the per-round ratio parent/change of the pass time (above 1:
+the change is faster). Nothing is written; only ``perfbench/`` is read.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+#: As in perfbench/run.py.
+BLAS_THREADS = "1"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+CHILD = r"""
+import json, os, random, sys
+from pathlib import Path
+
+root, name = Path(sys.argv[1]), sys.argv[2]
+sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+import run
+import workloads
+
+workloads.check_import_source(root)
+wl = workloads.build(name, root, dict(os.environ))
+while True:
+    line = sys.stdin.readline()
+    if not line:
+        break
+    tally = run.Tally()
+    run.run_pass(wl, random.Random(int(line)), tally)
+    reply = {"busy_s": tally.busy_s, "tasks": len(tally.latencies),
+             "failed": tally.failed, "problems": tally.problems[:3]}
+    sys.stdout.write(json.dumps(reply) + "\n")
+    sys.stdout.flush()
+"""
+
+
+class Side:
+    """One checkout's child interpreter, running one pass per request."""
+
+    def __init__(self, label: str, root: Path, workload: str):
+        self.label, self.root = label, root
+        env = dict(os.environ)
+        for var in THREAD_VARS:
+            env[var] = BLAS_THREADS
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        self.proc = subprocess.Popen([sys.executable, "-c", CHILD, str(root), workload],
+                                     cwd=root, env=env, stdin=subprocess.PIPE,
+                                     stdout=subprocess.PIPE, text=True)
+        self.rates, self.failed = [], 0
+
+    def run_pass(self, seed: int) -> dict:
+        self.proc.stdin.write(f"{seed}\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"{self.label} child exited (code {self.proc.wait()})")
+        return json.loads(line)
+
+    def timed_pass(self, seed: int) -> float:
+        reply = self.run_pass(seed)
+        self.failed += reply["failed"]
+        self.rates.append(reply["tasks"] / reply["busy_s"])
+        return reply["busy_s"]
+
+    def close(self) -> None:
+        if self.proc.poll() is None:
+            self.proc.stdin.close()
+            try:
+                self.proc.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                self.proc.kill()
+                self.proc.wait()
+        self.proc.stdout.close()
+
+
+def checkout(path: str) -> Path:
+    root = Path(path).resolve()
+    for part in ("src/wva_lab/__init__.py", "perfbench/workloads.py", "perfbench/run.py"):
+        if not (root / part).is_file():
+            raise argparse.ArgumentTypeError(f"{root} has no {part}")
+    return root
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=checkout)
+    parser.add_argument("change", type=checkout)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--rounds", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2 (the ratio quartiles need two rounds)")
+
+    sides = [Side("parent", args.parent, args.workload),
+             Side("change", args.change, args.workload)]
+    try:
+        for side in sides:
+            reply = side.run_pass(0)
+            if reply["failed"]:
+                print(f"error: the {side.label} side ({side.root}) fails its first pass:",
+                      *reply["problems"], sep="\n", file=sys.stderr)
+                return 1
+        ratios = []
+        for r in range(args.rounds):
+            order = sides if r % 2 == 0 else sides[::-1]
+            busy = {side.label: side.timed_pass(r + 1) for side in order}
+            ratios.append(busy["parent"] / busy["change"])
+    finally:
+        for side in sides:
+            side.close()
+
+    for side in sides:
+        print(f"{side.label}: median {statistics.median(side.rates):.1f} tasks/s over "
+              f"{args.rounds} passes, {side.failed} failed tasks ({side.root})")
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
+    median = statistics.median(ratios)
+    print(f"pass time parent/change: median {median:.3f} [quartiles {q1:.3f}, {q3:.3f}] "
+          f"over {args.rounds} rounds of {args.workload}")
+    return 1 if any(side.failed for side in sides) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -304,10 +304,7 @@ def cmd_dynamics(cfg: RunConfig) -> int:
     if delta == 0.0 or not np.isfinite(delta):  # before the default t_final and dt divide by it
         raise ConfigError(f"delta_minus must be nonzero and finite, got {delta}")
     cutoff = _integer(cfg, "fock_cutoff", 6)
-    try:
-        g_disp = 4.0 * g0**2 / delta
-    except OverflowError:  # g0**2 beyond the float range
-        g_disp = np.inf
+    g_disp = dynamics.dispersive_coupling(g0, delta)
     if g_disp == 0.0 or not np.isfinite(g_disp):  # before the default t_final divides by it
         raise ConfigError(f"g_dispersive = 4 g0^2 / delta_minus must be nonzero and finite, "
                           f"got {g_disp} for g0 = {g0}, delta_minus = {delta}")

@@ -27,12 +27,22 @@ elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import copysign, inf
 
 import numpy as np
 
 from .boson import FockSpace, op_annihilate
 from .linalg import Operator, StateVector
 from .spin import SpinSpace, collective_op, nonlinear_observable
+
+
+def dispersive_coupling(g0: float, delta_minus: float) -> float:
+    """g_disp = +4 g0^2 / delta_minus; +-inf (the sign of delta_minus) where
+    g0^2 overflows the float range."""
+    try:
+        return 4.0 * g0**2 / delta_minus
+    except OverflowError:  # a Python float g0**2 beyond the float range
+        return copysign(inf, delta_minus)
 
 
 @dataclass(frozen=True)
@@ -68,11 +78,14 @@ class TwoPhotonTCParams:
         if not np.isfinite(self.t_final / self.dt):  # `time_grid` takes int() of it
             raise ValueError(f"t_final / dt = {self.t_final} / {self.dt} overflows: "
                              "no finite step count")
+        if not np.isfinite(self.g_dispersive):
+            raise ValueError(f"g_dispersive = 4 g0^2 / delta_minus overflows for "
+                             f"g0 = {self.g0}, delta_minus = {self.delta_minus}")
 
     @property
     def g_dispersive(self) -> float:
         """Dispersive coupling of the effective nonlinear model, +4 g0^2 / delta."""
-        return 4.0 * self.g0**2 / self.delta_minus
+        return dispersive_coupling(self.g0, self.delta_minus)
 
     @property
     def joint_dim(self) -> int:

@@ -17,7 +17,12 @@ exact P_s, and the preparation column runs the brute-force circuit only
 within the register cap (two_j <= 10), each control-SWAP branch on its own
 nonzero block: about 0.2 ms per record at two_j = 10. The collective families'
 observables are diagonal and stored as vectors, so one record costs
-O(two_j) memory and the sweeps reach two_j = 10^5.
+O(two_j) memory and the sweeps reach two_j = 10^5. The kick is phased only
+on psi_i's two Dicke levels, and the coherent meter is built once per eta
+and shared by every record of a sweep: a near_deterministic record costs
+about 0.27 ms at two_j = 200 and 0.36 ms at two_j = 600 (2 cores, CPython
+3.11, NumPy 2.4, one BLAS thread), most of it in validating and reducing
+the full-length joint state and in strategy construction.
 """
 
 from __future__ import annotations

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from math import cos, sin, sqrt
+from functools import lru_cache
+from math import copysign, cos, sin, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -168,8 +169,19 @@ def max_weak_value_bound(psi_i: StateVector, A: Operator, target_ps: float) -> f
 
 
 def _default_meter(eta: complex, headroom: int = 2):
+    """(meter space, coherent state, number operator) for amplitude eta,
+    built once per distinct eta and shared: every object in it is frozen."""
     if not np.isfinite(eta):
         raise ValueError(f"eta must be finite, got {eta}")
+    # 0.0 == -0.0 as a cache key, but the two give coherent amplitudes with
+    # different signed zeros; the signs of both parts keep them apart.
+    z = complex(eta)
+    return _meter(eta, headroom, copysign(1.0, z.real), copysign(1.0, z.imag))
+
+
+@lru_cache(maxsize=64, typed=True)
+def _meter(eta: complex, headroom: int, *_zero_signs: float):
+    """`typed=True` keeps e.g. 0.1 and 0.1+0j apart."""
     space = FockSpace.for_coherent(eta, headroom=headroom)
     return space, coherent_state(space, eta), op_number(space)
 
@@ -285,17 +297,26 @@ def _first_order_kick(strategy: WeakValueStrategy, a_w: complex) -> StateVector:
 
 
 def evolved_joint(strategy: WeakValueStrategy) -> StateVector:
-    """exp(-i g A (x) B)|psi_i>|phi_i>, the exact joint state after the kick:
-    O(dim) elementwise phases when both observables are diagonal, one dense
-    eigendecomposition otherwise."""
+    """exp(-i g A (x) B)|psi_i>|phi_i>, the exact joint state after the kick.
+
+    When both observables are diagonal the kick is elementwise phases, formed
+    only on the rows where psi_i has weight (two Dicke levels for every
+    collective family); every other row is an exact zero. The returned state
+    is full-length, so every reduction over it (projections, overlaps, norms)
+    runs on the same operands as on the full outer product. Otherwise one
+    dense eigendecomposition of A (x) B.
+    """
     dim_s, dim_m = strategy.system_space.dim, strategy.meter_space.dim
     if dim_s * dim_m > DEFAULT_MAX_TENSOR_DIM:
         raise ValueError("joint dimension exceeds the configured maximum")
     if strategy.A.diagonal and strategy.B.diagonal:
-        a_diag = strategy.A.entries.real
+        psi = strategy.psi_i.amplitudes
+        rows = np.flatnonzero(psi)
+        a_diag = strategy.A.entries.real[rows]
         b_diag = strategy.B.entries.real
-        block = np.outer(strategy.psi_i.amplitudes, strategy.phi_i.amplitudes)
-        block = block * np.exp(-1j * strategy.g * np.outer(a_diag, b_diag))
+        block = np.zeros((dim_s, dim_m), dtype=complex)
+        block[rows] = (np.outer(psi[rows], strategy.phi_i.amplitudes)
+                       * np.exp(-1j * strategy.g * np.outer(a_diag, b_diag)))
         return StateVector(dim=dim_s * dim_m, amplitudes=block.ravel())
     u = expm_i(tensor(strategy.A, strategy.B), strategy.g)
     return StateVector(

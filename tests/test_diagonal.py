@@ -9,11 +9,12 @@ import pytest
 
 from wva_lab.boson import FockSpace, op_number
 from wva_lab.dynamics import TwoPhotonTCParams, conserved_charge
+from wva_lab.experiments import FAMILIES
 from wva_lab.linalg import Operator, StateVector, apply, expectation, expm_i, tensor
 from wva_lab.spin import SpinSpace, collective_op, variance
-from wva_lab.wva import evolved_joint, strategy_nonlinear_joint
+from wva_lab.wva import evolved_joint, strategy_near_deterministic, strategy_nonlinear_joint
 
-from conftest import random_hermitian, random_state
+from conftest import FAMILY_PARAMETERS, random_hermitian, random_state
 
 TOL = 1e-13
 
@@ -120,3 +121,58 @@ def test_evolved_joint_matches_dense_propagator(kind):
     evals, evecs = np.linalg.eigh(generator)
     oracle = (evecs * np.exp(-1j * strat.g * evals)) @ (evecs.conj().T @ joint.amplitudes)
     _close(evolved_joint(strat).amplitudes, oracle)
+
+
+# ------------------------------------------- the kick on psi_i's support
+
+
+def _full_outer_kick(strat):
+    """The kick as the full (dim_s, dim_m) outer product, phased everywhere:
+    the oracle for `evolved_joint`, which phases only psi_i's support."""
+    a_diag = strat.A.entries.real
+    b_diag = strat.B.entries.real
+    block = np.outer(strat.psi_i.amplitudes, strat.phi_i.amplitudes)
+    return block * np.exp(-1j * strat.g * np.outer(a_diag, b_diag))
+
+
+def _assert_kick_on_support(strat):
+    dim_s, dim_m = strat.system_space.dim, strat.meter_space.dim
+    got = evolved_joint(strat).amplitudes.reshape(dim_s, dim_m)
+    want = _full_outer_kick(strat)
+    support = strat.psi_i.amplitudes != 0
+    assert got[support].tobytes() == want[support].tobytes()
+    # off the support both are zeros; the outer product may hold a -0.0 there,
+    # and a signed zero never changes a nonzero sum
+    assert np.array_equal(got[~support], np.zeros_like(got[~support]))
+    assert np.array_equal(want[~support], got[~support])
+
+
+_SUPPORT_CASES = [(name, two_j) for name in sorted(FAMILIES) if FAMILIES[name].levels is not None
+                  for two_j in range(2, 13)
+                  if not (FAMILIES[name].integer_j and two_j % 2)]
+
+
+@pytest.mark.parametrize("name, two_j", _SUPPORT_CASES)
+def test_evolved_joint_phases_psi_i_support_bit_for_bit(name, two_j):
+    strat = FAMILIES[name].build(two_j, FAMILY_PARAMETERS[name], g=3e-3, eta=0.4)
+    assert np.count_nonzero(strat.psi_i.amplitudes) == 2
+    _assert_kick_on_support(strat)
+
+
+def test_evolved_joint_support_near_deterministic_two_j_600():
+    _assert_kick_on_support(strategy_near_deterministic(600, 0.01, g=1e-6))
+
+
+def test_evolved_joint_support_scattered_zeros_and_large_phases(rng):
+    # a random psi_i with exact zeros scattered over the register, and g large
+    # enough that part of the phases g a b lie where cos < 0
+    base = strategy_nonlinear_joint(12, 1e-3, eta=0.4)
+    raw = random_state(rng, base.system_space.dim).amplitudes.copy()
+    raw[[0, 3, 4, 8, 12]] = 0.0
+    psi_i = StateVector.of(raw)
+    rows = np.flatnonzero(psi_i.amplitudes)
+    assert 0 < len(rows) < base.system_space.dim
+    large = dataclasses.replace(base, psi_i=psi_i, g=0.7)
+    assert np.any(np.cos(large.g * np.outer(large.A.entries.real[rows], large.B.entries.real)) < 0)
+    for strat in (dataclasses.replace(base, psi_i=psi_i, g=3e-3), large):
+        _assert_kick_on_support(strat)

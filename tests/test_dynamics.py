@@ -66,7 +66,13 @@ def test_params_validation():
     # t_final / dt = inf used to reach int() in `time_grid` as an OverflowError
     with pytest.raises(ValueError, match="no finite step count"):
         make_params(t_final=1e300, dt=1e-10)
+    # |g0/d| = 0.1 and a finite step count: this used to construct, and
+    # `.g_dispersive` then died with an OverflowError in g0**2
+    with pytest.raises(ValueError, match="g_dispersive = 4 g0\\^2 / delta_minus overflows"):
+        make_params(g0=1e200, delta_minus=1e201, t_final=1.0, dt=1e-203)
+    assert dynamics.dispersive_coupling(1e200, -1e201) == -np.inf
     assert make_params().g_dispersive == pytest.approx(4 * 0.02**2)
+    assert make_params(g0=0.0).g_dispersive == 0.0
 
 
 # --------------------------------------------------------------- hamiltonian

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from wva_lab.boson import op_number
 from wva_lab.linalg import NullPostselectionError, Operator, StateVector, expm_i, fidelity, inner, tensor
 from wva_lab.spin import SpinSpace, collective_op, dicke_state, nonlinear_observable, superpose_dicke, variance
-from wva_lab.experiments import FAMILIES
+from wva_lab import wva
+from wva_lab.experiments import FAMILIES, sweep
 from wva_lab.wva import (
+    DEFAULT_ETA,
     centered_quadrature,
     collective_success,
     evolved_joint,
@@ -275,8 +277,60 @@ def test_strategy_validation():
 @pytest.mark.parametrize("eta", [np.nan, np.inf, complex(0.1, np.nan)])
 @pytest.mark.parametrize("fam", FAMILIES.values(), ids=lambda fam: fam.name)
 def test_every_strategy_rejects_a_non_finite_eta(fam, eta):
-    with pytest.raises(ValueError, match="eta must be finite"):
-        fam.build(4, FAMILY_PARAMETERS[fam.name], eta=eta)
+    for _ in range(2):  # on every call: the meter cache never holds an exception
+        with pytest.raises(ValueError, match="eta must be finite"):
+            fam.build(4, FAMILY_PARAMETERS[fam.name], eta=eta)
+
+
+# ------------------------------------------------------------ meter cache
+
+
+def _spy_meter_builds(monkeypatch):
+    calls = []
+    real = wva.coherent_state
+
+    def spy(space, eta):
+        calls.append(eta)
+        return real(space, eta)
+
+    monkeypatch.setattr(wva, "coherent_state", spy)
+    wva._meter.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize("fam", FAMILIES.values(), ids=lambda fam: fam.name)
+def test_sweep_builds_the_meter_once_per_eta(monkeypatch, fam):
+    calls = _spy_meter_builds(monkeypatch)
+    sizes = [4, 6, 8, 10, 12]
+    parameter = FAMILY_PARAMETERS[fam.name]
+    sweep(fam.name, sizes, parameter, with_circuits=False)
+    assert calls == [DEFAULT_ETA]
+    # a second eta adds one build; the default one (also behind the
+    # linear_fixed_aw sigma probe) is not built again
+    sweep(fam.name, sizes, parameter, eta=0.3, with_circuits=False)
+    sweep(fam.name, sizes, parameter, with_circuits=False)
+    assert calls == [DEFAULT_ETA, 0.3]
+
+
+def test_meter_cache_keeps_types_and_signed_zeros_apart(monkeypatch):
+    calls = _spy_meter_builds(monkeypatch)
+    # 0j == complex(-0.0, -0.0), but the second gives coherent amplitudes
+    # with negative zeros in their imaginary parts
+    for eta in (0.1, 0.1 + 0j, 0.0, 0j, complex(-0.0, -0.0)):
+        strat = strategy_nonlinear_joint(4, 1e-3, eta=eta)
+        fresh = wva.coherent_state(strat.meter_space, eta)
+        assert strat.phi_i.amplitudes.tobytes() == fresh.amplitudes.tobytes()
+    assert len(calls) == 2 * 5  # one cached build and one fresh state each
+
+
+def test_cached_meter_is_shared_and_read_only():
+    a = strategy_nonlinear_joint(4, 1e-3, eta=0.2)
+    b = strategy_linear_optimal(6, 250.0, eta=0.2)
+    assert a.phi_i is b.phi_i and a.B is b.B and a.meter_space is b.meter_space
+    for arr in (a.phi_i.amplitudes, a.B.entries):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_consistency_chain():
