@@ -4,7 +4,7 @@ operators, and truncation control via Poisson tail bounds."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, lgamma, log, sqrt
+from math import exp, inf, lgamma, log, sqrt
 
 import numpy as np
 
@@ -21,7 +21,11 @@ def poisson_tail(cutoff: int, mean: float) -> float:
     """P(X > cutoff) for X ~ Poisson(mean), summed term by term past the
     cutoff (no 1 - CDF cancellation). A term is exp(k log mean - mean -
     lgamma(k+1)) up to the mean, where the first ones may underflow, and
-    P(X = k-1) mean / k beyond it."""
+    P(X = k-1) mean / k beyond it. A mean that is negative or not finite
+    has no Poisson law (the sum would never end at mean = inf) and raises
+    ValueError."""
+    if not 0.0 <= mean < inf:
+        raise ValueError(f"Poisson mean must be finite and non-negative, got {mean}")
     if mean == 0.0:
         return 0.0
     total, k = 0.0, cutoff + 1
@@ -33,11 +37,24 @@ def poisson_tail(cutoff: int, mean: float) -> float:
     return min(total, 1.0)  # the log-space terms carry ~1e-13 relative error
 
 
+def _coherent_mean(eta: complex) -> float:
+    """|eta|^2, the mean photon number of the coherent state |eta>; raises
+    ValueError unless eta is finite and |eta|^2 fits the float range."""
+    try:
+        lam = abs(complex(eta)) ** 2
+    except OverflowError:  # a finite |eta| whose square overflows
+        lam = inf
+    if not lam < inf:
+        raise ValueError(f"coherent amplitude eta = {eta} must be finite with a finite "
+                         f"|eta|^2, got |eta|^2 = {lam}")
+    return lam
+
+
 def min_cutoff(eta: complex, tail_tolerance: float) -> int:
     """Smallest cutoff keeping the coherent tail within tolerance. The tail
     falls with the cutoff, so doubling and then bisecting finds it in
     O(log cutoff) tail sums (a linear scan costs O(|eta|^4) terms)."""
-    lam = abs(eta) ** 2
+    lam = _coherent_mean(eta)
     lo, hi = -1, 0  # the tail exceeds the tolerance at lo, not at the answer
     while poisson_tail(hi, lam) > tail_tolerance:
         if hi == 10_000:
@@ -74,10 +91,11 @@ class FockSpace:
 
 
 def coherent_state(space, eta: complex):
-    """Truncated coherent state, renormalized after truncation."""
+    """Truncated coherent state, renormalized after truncation. A non-finite
+    eta, or one whose |eta|^2 overflows, raises ValueError."""
     from .linalg import StateVector
 
-    lam = abs(eta) ** 2
+    lam = _coherent_mean(eta)
     tail = poisson_tail(space.cutoff, lam)
     if tail > space.tail_tolerance:
         suggestion = min_cutoff(eta, space.tail_tolerance)

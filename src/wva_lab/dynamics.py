@@ -27,12 +27,12 @@ elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import copysign, inf
+from math import copysign, inf, isqrt
 
 import numpy as np
 
 from .boson import FockSpace, op_annihilate
-from .linalg import Operator, StateVector
+from .linalg import NORM_TOL, Operator, StateVector
 from .spin import SpinSpace, collective_op, nonlinear_observable
 
 
@@ -94,9 +94,14 @@ class TwoPhotonTCParams:
 
 @dataclass(frozen=True)
 class EvolutionTrace:
+    """An evolution at its stored times. `full_states` and `effective_states`
+    are read-only (len(times), dim) complex arrays, one state per row (None
+    where the evolution did not form them); `fidelities` holds
+    |<full|effective>|^2 at the stored times."""
+
     times: np.ndarray
-    full_states: tuple | None
-    effective_states: tuple | None
+    full_states: np.ndarray | None
+    effective_states: np.ndarray | None
     fidelities: np.ndarray | None
     max_norm_drift: float
 
@@ -163,11 +168,10 @@ def conservation_residual(params: TwoPhotonTCParams, t: float = 0.237) -> float:
     return float(np.max(np.abs(comm), initial=0.0))
 
 
-#: Largest number of complex entries in the phase table of the pair scan in
-#: `effective_model_fidelity`. The 8 perfbench dispersive fidelity calls took
-#: 34, 25, 22, 21, 23 and 42 ms at 2^10, 2^11, 2^12, 2^13, 2^14 and 2^16
-#: (medians of 40 interleaved passes, 1 BLAS thread), with tracemalloc peaks
-#: of 0.58 MB up to 2^13, 0.65 MB at 2^14 and 2.2 MB at 2^16.
+#: Largest number of complex entries in a phase table or an output block of
+#: the fidelity scan (`_fidelity_scan`); it caps the scan's memory, not its
+#: step. Where F pairs times sqrt(grid points) exceed it, the fine table
+#: narrows and the coarse rows run in groups.
 CHUNK_ELEMENTS = 2**13
 
 
@@ -221,22 +225,24 @@ def _frame_propagator(params: TwoPhotonTCParams, psi0: StateVector):
 
 
 def _full_states(frame, times):
-    """Full states at `times` and their largest norm drift |norm - 1|."""
+    """Full states at `times`, one read-only row per time, and their largest
+    norm drift |norm - 1| (taken row by row)."""
     d_jz, blocks = frame
     amps = np.empty((times.size, d_jz.size), dtype=complex)
     for idx, evals, evecs, coeffs in blocks:
         rotated = np.exp(-1j * evals * times[:, None, None]) * coeffs
         amps[:, idx] = np.einsum("bik,tbk->tbi", evecs, rotated)
     amps *= np.exp(1j * d_jz * times[:, None])
-    states = tuple(StateVector.unnormalized(row) for row in amps)
-    return states, max(abs(s.norm() - 1.0) for s in states)
+    amps.setflags(write=False)
+    return amps, max(abs(float(np.linalg.norm(row)) - 1.0) for row in amps)
 
 
 def evolve_full(params: TwoPhotonTCParams, psi0: StateVector,
                 store_every: int = 1) -> EvolutionTrace:
     """Exact evolution of the oscillating model (one stacked Hermitian
     eigensolve per charge-block size of the rotating-frame generator, with
-    no dim x dim matrix), stored every `store_every` grid points."""
+    no dim x dim matrix), stored every `store_every` grid points as the rows
+    of `full_states`."""
     _, dt, stored = time_grid(params, store_every)
     times = stored * dt
     states, drift = _full_states(_frame_propagator(params, psi0), times)
@@ -283,16 +289,71 @@ def effective_phases(params: TwoPhotonTCParams, t: float,
 def evolve_effective(params: TwoPhotonTCParams, psi0: StateVector,
                      store_every: int = 1,
                      include_commutator_terms: bool = False) -> EvolutionTrace:
-    """Exact diagonal evolution under the effective nonlinear model."""
+    """Exact diagonal evolution under the effective nonlinear model, stored
+    every `store_every` grid points as the rows of `effective_states`, each
+    within NORM_TOL of unit norm."""
     if psi0.dim != params.joint_dim:
         raise ValueError("psi0 must live on the joint space")
     _, dt, stored = time_grid(params, store_every)
     times = stored * dt
     gen = effective_generator_diag(params, include_commutator_terms)
-    states = tuple(StateVector(psi0.dim, np.exp(-1j * gen * tk) * psi0.amplitudes)
-                   for tk in times)
-    return EvolutionTrace(times=times, full_states=None, effective_states=states,
+    return EvolutionTrace(times=times, full_states=None,
+                          effective_states=_effective_states(gen, psi0, times),
                           fidelities=None, max_norm_drift=0.0)
+
+
+def _effective_states(gen, psi0: StateVector, times):
+    """exp(-i G t) psi0 for the effective generator diagonal G at `times`,
+    one read-only row per time; each row must be within NORM_TOL of unit
+    norm."""
+    states = np.exp(-1j * gen * times[:, None]) * psi0.amplitudes
+    drift = np.abs(np.linalg.norm(states, axis=1) - 1.0)
+    if not np.all(drift <= NORM_TOL):
+        raise ValueError(f"state not normalized: |norm - 1| = {np.max(drift):.3e}")
+    states.setflags(write=False)
+    return states
+
+
+def _pair_terms(psi0: StateVector, frame, gen):
+    """Weights W and frequencies w with <psi_full(t)|psi_eff(t)> =
+    sum_f W_f e^{i w_f t}.
+
+    With G = `gen` the effective generator diagonal, r = G + d Jz and
+    c = V^dag psi0, the sum runs over the same-block pairs (l, k) with
+    W_lk = conj(c_k) conj(V_lk) psi0_l and w_lk = lambda_k - r_l; rows with
+    psi0_l = 0 contribute 0 and are dropped."""
+    d_jz, blocks = frame
+    rate = gen + d_jz
+    weights, freqs = [], []
+    for idx, evals, evecs, coeffs in blocks:
+        amps = psi0.amplitudes[idx]
+        live = amps != 0
+        weights.append((np.conj(coeffs[:, None, :] * evecs) * amps[:, :, None])[live].ravel())
+        freqs.append((evals[:, None, :] - rate[idx][:, :, None])[live].ravel())
+    return np.concatenate(weights), np.concatenate(freqs)
+
+
+def _fidelity_scan(weights, freqs, nsteps: int, dt: float) -> np.ndarray:
+    """|sum_f W_f e^{i w_f k dt}|^2 at every grid point k = 0..nsteps.
+
+    The grid index splits as k = a C + b with C = ceil(sqrt(nsteps + 1)), so
+    e^{i w k dt} = e^{i w a C dt} e^{i w b dt}. The fine table over b
+    (C x F) and the weighted coarse table over a (R x F) then give every
+    amplitude at once as coarse @ fine^T, whose rows read k in order, from
+    about 2 sqrt(nsteps) F complex exponentials. Where F C exceeds
+    CHUNK_ELEMENTS, C shrinks to fit, and the coarse rows run in groups
+    that keep each table and output block within it."""
+    points, pairs = nsteps + 1, freqs.size
+    cols = max(min(isqrt(points - 1) + 1, CHUNK_ELEMENTS // pairs), 1)
+    rows = -(-points // cols)
+    group = max(CHUNK_ELEMENTS // max(pairs, cols), 1)
+    fine = np.exp(1j * freqs * (dt * np.arange(cols)[:, None]))
+    fids = np.empty((rows, cols))
+    for first in range(0, rows, group):
+        starts = np.arange(first, min(first + group, rows)) * cols
+        coarse = np.exp(1j * freqs * (starts * dt)[:, None]) * weights
+        fids[first:first + starts.size] = np.abs(coarse @ fine.T) ** 2
+    return fids.ravel()[:points]
 
 
 def effective_model_fidelity(params: TwoPhotonTCParams, psi0: StateVector,
@@ -309,35 +370,16 @@ def effective_model_fidelity(params: TwoPhotonTCParams, psi0: StateVector,
     """
     nsteps, dt, stored = time_grid(params, store_every)
     frame = _frame_propagator(params, psi0)
-    d_jz, blocks = frame
-    # With G the effective generator, r = G + d Jz and c = V^dag psi0,
-    # <psi_full|psi_eff> = sum_(l,k) W_lk e^{i (lambda_k - r_l) t} over the
-    # same-block pairs, W_lk = conj(c_k) conj(V_lk) psi0_l; rows with
-    # psi0_l = 0 contribute 0 and are dropped. A chunk starting at t0 splits
-    # each phase as e^{i w (t0 + tau)}, so the chunk-sized phase table over
-    # tau = 0, dt, .. is computed once.
-    rate = effective_generator_diag(params, include_commutator_terms) + d_jz
-    weights, freqs = [], []
-    for idx, evals, evecs, coeffs in blocks:
-        amps = psi0.amplitudes[idx]
-        live = amps != 0
-        weights.append((np.conj(coeffs[:, None, :] * evecs) * amps[:, :, None])[live].ravel())
-        freqs.append((evals[:, None, :] - rate[idx][:, :, None])[live].ravel())
-    weights, freqs = np.concatenate(weights), np.concatenate(freqs)
-    chunk = max(CHUNK_ELEMENTS // freqs.size, 1)
-    steps = np.exp(1j * freqs * (dt * np.arange(min(chunk, nsteps + 1))[:, None]))
-    fids = np.empty(nsteps + 1)
-    for start in range(0, nsteps + 1, chunk):
-        n, t0 = min(chunk, nsteps + 1 - start), start * dt
-        start_weights = np.exp(1j * freqs * t0) * weights
-        fids[start:start + n] = np.abs(steps[:n] @ start_weights) ** 2
+    gen = effective_generator_diag(params, include_commutator_terms)
+    # every grid point from one sum over same-block pairs, its time index
+    # split at about sqrt(nsteps) into a coarse and a fine phase table
+    fids = _fidelity_scan(*_pair_terms(psi0, frame, gen), nsteps, dt)
     times = stored * dt
     full_states, drift = _full_states(frame, times)
     trace = EvolutionTrace(
         times=times,
         full_states=full_states,
-        effective_states=evolve_effective(params, psi0, store_every,
-                                          include_commutator_terms).effective_states,
+        effective_states=_effective_states(gen, psi0, times),
         fidelities=fids[stored],
         max_norm_drift=drift,
     )
@@ -348,11 +390,9 @@ def charge_drift(params: TwoPhotonTCParams, trace: EvolutionTrace) -> float:
     """Max drift of <2 Jz + n> along the stored full trajectory."""
     if trace.full_states is None:
         raise ValueError("trace has no full states")
+    full = trace.full_states
     q = conserved_charge(params).entries.real
-    vals = []
-    for s in trace.full_states:
-        amps = s.amplitudes
-        nrm = float(np.vdot(amps, amps).real)
-        vals.append(float(np.sum(np.abs(amps) ** 2 * q)) / nrm)
-    vals = np.array(vals)
+    # the norms stay one np.vdot per row: a batched form rounds differently
+    nrm = np.array([np.vdot(amps, amps).real for amps in full])
+    vals = np.sum(np.abs(full) ** 2 * q, axis=1) / nrm
     return float(np.max(np.abs(vals - vals[0])))

@@ -128,3 +128,41 @@ def test_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=Path(__file__).resolve().parents[1] / "src")
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("mean", [np.nan, -1.0, -np.inf])
+def test_poisson_tail_rejects_a_mean_with_no_poisson_law(mean):
+    # nan used to give a tail of 0.0, and a negative mean a math domain error
+    with pytest.raises(ValueError, match="Poisson mean must be finite and non-negative"):
+        poisson_tail(4, mean)
+
+
+@pytest.mark.parametrize("eta", [np.nan, complex(np.nan, 0.0), 1e300, complex(1e200, 1e200),
+                                 np.complex128(1e300)],
+                         ids=["nan", "nan-real", "1e300", "1e200-both-parts", "numpy-1e300"])
+def test_coherent_amplitude_must_have_a_finite_mean(eta):
+    # nan gave a NaN state, and 1e300 died in abs(eta) ** 2 with an
+    # OverflowError (a RuntimeWarning for a NumPy scalar)
+    for call in (lambda: coherent_state(FockSpace(4, tail_tolerance=1e-6), eta),
+                 lambda: min_cutoff(eta, 1e-6),
+                 lambda: FockSpace.for_coherent(eta)):
+        with pytest.raises(ValueError, match="must be finite with a finite \\|eta\\|\\^2"):
+            call()
+
+
+@pytest.mark.parametrize("call, message", [
+    ("poisson_tail(4, inf)", "Poisson mean must be finite and non-negative"),
+    ("min_cutoff(-inf, 1e-6)", "must be finite with a finite |eta|^2"),
+    ("coherent_state(FockSpace(4, tail_tolerance=1e-6), inf)",
+     "must be finite with a finite |eta|^2"),
+    ("FockSpace.for_coherent(complex(0.0, inf))", "must be finite with a finite |eta|^2"),
+], ids=["poisson_tail", "min_cutoff", "coherent_state", "for_coherent"])
+def test_an_infinite_mean_raises_instead_of_hanging(call, message):
+    # an infinite mean used to spin forever in `while k <= mean`, so each
+    # call runs in a fresh process with a timeout: a hang fails the test
+    code = f"from math import inf; from wva_lab.boson import *; {call}"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, cwd=Path(__file__).resolve().parents[1] / "src")
+    last = out.stderr.splitlines()[-1]
+    assert out.returncode == 1
+    assert last.startswith("ValueError: ") and message in last

@@ -1,5 +1,7 @@
 import json
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -224,6 +226,23 @@ def test_dynamics_non_finite_parameters_exit_2(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.splitlines() == [captured.err.strip()]
     assert message in captured.err
+
+
+@pytest.mark.parametrize("eta", ["inf", "nan", "1e300"])
+def test_dynamics_non_finite_meter_eta_exits_2(eta):
+    # a fresh process with a timeout, so that a hang fails the test: inf
+    # used to spin forever in the coherent tail sum, nan printed NaN (not
+    # JSON) with exit 0, and 1e300 died with an OverflowError traceback
+    code = "import sys; from wva_lab.cli import run; sys.exit(run(sys.argv[1:]))"
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code, "dynamics", "--two-j", "2", "--g0", "0.05",
+         "--delta-minus", "1.0", "--fock-cutoff", "4", "--t-final", "5", "--meter-eta", eta],
+        capture_output=True, text=True, timeout=60,
+        cwd=pathlib.Path(__file__).resolve().parents[1] / "src")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.splitlines() == [out.stderr.strip()]
+    assert "coherent amplitude eta" in out.stderr
 
 
 @pytest.mark.parametrize("argv, message", [

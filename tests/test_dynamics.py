@@ -1,4 +1,5 @@
 import tracemalloc
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -23,6 +24,12 @@ from wva_lab.spin import SpinSpace, collective_op, dicke_state, nonlinear_observ
 from wva_lab.boson import op_number
 
 from conftest import random_state
+from chunked_scan_oracle import (
+    chunked_fidelities,
+    loop_charge_drift,
+    statevector_effective_states,
+    statevector_full_states,
+)
 from dense_frame_oracle import dense_evolve, dense_fidelities
 from rk4_oracle import rk4_derivative, rk4_evolve
 
@@ -157,7 +164,7 @@ def test_zero_coupling_is_stationary():
     p = make_params(g0=0.0, t_final=5.0)
     psi0 = joint_state(p, 0, basis_meter(p, 2))
     trace = evolve_full(p, psi0)
-    assert fidelity(StateVector.of(trace.full_states[-1].amplitudes), psi0) \
+    assert fidelity(StateVector.of(trace.full_states[-1]), psi0) \
         == pytest.approx(1.0, abs=1e-12)
 
 
@@ -181,7 +188,7 @@ def test_lowest_state_vacuum_exactly_stationary():
     p = make_params(two_j=2, t_final=6.0)
     psi0 = joint_state(p, -1, basis_meter(p, 0))
     trace = evolve_full(p, psi0)
-    final = trace.full_states[-1].amplitudes
+    final = trace.full_states[-1]
     assert np.max(np.abs(final - psi0.amplitudes)) < 1e-12
 
 
@@ -191,7 +198,7 @@ def test_highest_state_vacuum_leakage_matches_perturbation():
     p = make_params(two_j=2, g0=0.02, t_final=40.0, fock_cutoff=4)
     psi0 = joint_state(p, 1, basis_meter(p, 0))
     trace = evolve_full(p, psi0)
-    pops = [1.0 - abs(np.vdot(psi0.amplitudes, s.amplitudes)) ** 2
+    pops = [1.0 - abs(np.vdot(psi0.amplitudes, s)) ** 2
             for s in trace.full_states]
     max_leak = max(pops)
     v = p.g0 * np.sqrt(2.0) * np.sqrt(2.0)
@@ -216,8 +223,8 @@ def test_full_evolution_matches_two_level_closed_form():
     v = p.g0 * np.sqrt(2.0)
     omega = np.sqrt(p.delta_minus**2 + 4 * v**2)
     for t, s in zip(trace.times, trace.full_states):
-        c_up = np.vdot(up0, s.amplitudes)
-        c_dn = np.vdot(dn2, s.amplitudes)
+        c_up = np.vdot(up0, s)
+        c_dn = np.vdot(dn2, s)
         u = np.cos(omega * t / 2) - 1j * (p.delta_minus / omega) * np.sin(omega * t / 2)
         w = -1j * (2 * v / omega) * np.sin(omega * t / 2)
         assert c_up == pytest.approx(u * np.exp(1j * p.delta_minus * t / 2), abs=1e-13)
@@ -233,7 +240,7 @@ def test_exact_evolution_matches_rk4_oracle(two_j, cutoff):
     times, states = rk4_evolve(p, psi0, store_every=50)
     trace = evolve_full(p, psi0, store_every=50)
     np.testing.assert_allclose(trace.times, times, rtol=0, atol=1e-12)
-    dist = max(np.linalg.norm(s.amplitudes - v) for s, v in zip(trace.full_states, states))
+    dist = max(np.linalg.norm(s - v) for s, v in zip(trace.full_states, states))
     assert dist <= 1e-8
 
 
@@ -260,7 +267,7 @@ def test_block_solver_matches_dense_oracle(rng, two_j, cutoff, commutator):
                                               include_commutator_terms=commutator)
     _, states = dense_evolve(p, psi0)
     fids = dense_fidelities(p, psi0, commutator)
-    assert np.max(np.abs([s.amplitudes for s in trace.full_states] - states)) <= 1e-12
+    assert np.max(np.abs(trace.full_states - states)) <= 1e-12
     assert np.max(np.abs(trace.fidelities - fids)) <= 1e-12
     assert abs(min_fid - np.min(fids)) <= 1e-12
 
@@ -300,6 +307,104 @@ def test_fidelity_scan_allocates_no_joint_matrix():
     assert peak < 8e6
 
 
+def readme_case():
+    """The README `dynamics` example (78,541 grid points), as the CLI builds it."""
+    p = make_params(two_j=2, g0=0.02, fock_cutoff=6,
+                    t_final=2 * np.pi / (4 * 0.02**2), dt=0.05)
+    meter = coherent_state(FockSpace(6, tail_tolerance=1e-6), 0.25)
+    return p, joint_state(p, 0, meter.amplitudes)
+
+
+def test_readme_fidelity_scan_stays_within_its_blocks():
+    # one phase table over all 78,541 points and 17 pairs would be 21 MB;
+    # the split tables and output blocks hold at most CHUNK_ELEMENTS each,
+    # so the peak is the fidelity row itself plus the stored trace. The
+    # first call in a process also allocates about 1 MB of lazy set-up
+    p, psi0 = readme_case()
+    effective_model_fidelity(p, psi0, store_every=200)
+    tracemalloc.start()
+    try:
+        effective_model_fidelity(p, psi0, store_every=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+
+
+def scan_case(name, rng):
+    if name == "readme":
+        return readme_case()
+    if name == "two_j=8":
+        ratio = 0.05
+        p = make_params(two_j=8, g0=ratio, fock_cutoff=8,
+                        t_final=0.25 * 2 * np.pi / (4 * ratio**2), dt=0.02)
+        meter = coherent_state(FockSpace(8, tail_tolerance=1e-6), 0.25)
+        return p, joint_state(p, 0, meter.amplitudes)
+    if name == "ragged":
+        p = make_params(t_final=2.0)
+        return p, joint_state(p, 0, [0.6, 0.5, 0.4, 0.3, 0.2])
+    if name == "one-step":
+        p = make_params(t_final=0.02)
+        return p, joint_state(p, 0, [0.6, 0.5, 0.4, 0.3, 0.2])
+    return block_oracle_case(rng, 12, 20)  # every pair of a random psi0
+
+
+@pytest.mark.parametrize("commutator", [False, True])
+@pytest.mark.parametrize("name", ["readme", "two_j=8", "ragged", "one-step", "random-large"])
+def test_split_scan_matches_the_chunked_oracle(rng, name, commutator):
+    p, psi0 = scan_case(name, rng)
+    nsteps, dt, _ = dynamics.time_grid(p)
+    frame = _frame_propagator(p, psi0)
+    gen = dynamics.effective_generator_diag(p, commutator)
+    weights, freqs = dynamics._pair_terms(psi0, frame, gen)
+    cols = isqrt(nsteps) + 1  # ceil(sqrt(nsteps + 1)), before the cap
+    if name == "ragged":
+        assert (nsteps + 1) % cols != 0
+    if name == "one-step":
+        assert nsteps == 1
+    if name == "random-large":
+        assert freqs.size * cols > dynamics.CHUNK_ELEMENTS
+    fids = dynamics._fidelity_scan(weights, freqs, nsteps, dt)
+    oracle = chunked_fidelities(weights, freqs, nsteps, dt)
+    assert fids.shape == oracle.shape == (nsteps + 1,)
+    assert np.max(np.abs(fids - oracle)) <= 1e-14
+    min_fid, trace = effective_model_fidelity(p, psi0, store_every=97,
+                                              include_commutator_terms=commutator)
+    assert min_fid == np.min(fids)
+    assert trace.fidelities.tobytes() == fids[dynamics.time_grid(p, 97)[2]].tobytes()
+
+
+@pytest.mark.parametrize("commutator", [False, True])
+@pytest.mark.parametrize("name", ["readme", "two_j=8", "random-large"])
+def test_trace_arrays_equal_the_old_statevectors(rng, name, commutator):
+    p, psi0 = scan_case(name, rng)
+    store_every = 200 if name == "readme" else 7
+    _, trace = effective_model_fidelity(p, psi0, store_every=store_every,
+                                        include_commutator_terms=commutator)
+    states, drift = statevector_full_states(_frame_propagator(p, psi0), trace.times)
+    old_eff = statevector_effective_states(p, psi0, store_every, commutator)
+    assert trace.full_states.shape == trace.effective_states.shape == (len(states), p.joint_dim)
+    assert not trace.full_states.flags.writeable and not trace.effective_states.flags.writeable
+    assert trace.full_states.tobytes() == np.array([s.amplitudes for s in states]).tobytes()
+    assert trace.effective_states.tobytes() == \
+        np.array([s.amplitudes for s in old_eff]).tobytes()
+    assert trace.max_norm_drift == drift
+    assert charge_drift(p, trace) == loop_charge_drift(conserved_charge(p).entries.real, states)
+    full, effective = evolve_full(p, psi0, store_every), evolve_effective(p, psi0, store_every,
+                                                                          commutator)
+    assert full.full_states.tobytes() == trace.full_states.tobytes()
+    assert full.max_norm_drift == trace.max_norm_drift
+    assert effective.effective_states.tobytes() == trace.effective_states.tobytes()
+
+
+def test_effective_evolution_keeps_the_norm_check(rng):
+    # each effective state used to be a StateVector, which checked its norm
+    p = make_params()
+    psi0 = random_state(rng, p.joint_dim)
+    with pytest.raises(ValueError, match="state not normalized"):
+        evolve_effective(p, StateVector.unnormalized(1.001 * psi0.amplitudes))
+
+
 def test_rk4_derivative_consistent_with_hamiltonian(rng):
     # the stacked fast path inside the RK4 oracle must equal -i H(t) v
     p = make_params(two_j=3, fock_cutoff=3)
@@ -332,7 +437,7 @@ def test_effective_single_level_phase():
     trace = evolve_effective(p, psi0)
     j = 1.0
     phase = np.exp(-1j * p.g_dispersive * j * (j + 1) * 1 * trace.times[-1])
-    np.testing.assert_allclose(trace.effective_states[-1].amplitudes,
+    np.testing.assert_allclose(trace.effective_states[-1],
                                phase * psi0.amplitudes, atol=1e-12)
 
 
@@ -353,7 +458,7 @@ def test_effective_populations_conserved():
     psi0 = joint_state(p, 0, [0.5, 0.5, 0.5, 0.5, 0.0])
     trace = evolve_effective(p, psi0)
     for s in trace.effective_states:
-        np.testing.assert_allclose(np.abs(s.amplitudes), np.abs(psi0.amplitudes),
+        np.testing.assert_allclose(np.abs(s), np.abs(psi0.amplitudes),
                                    atol=1e-12)
 
 
@@ -379,14 +484,14 @@ def test_fidelity_trace_structure():
 
 
 def test_fidelity_trace_matches_stored_states():
-    # the chunked fidelity scan and the stored states are computed separately;
-    # over many chunks (15001 grid points) they must agree at every stored point
+    # the fidelity scan and the stored states are computed separately; over
+    # 15001 grid points (122 coarse rows) they must agree at every stored point
     p = make_params(g0=0.05, t_final=300.0)
     psi0 = joint_state(p, 0, [0.6, 0.5, 0.4, 0.3, 0.2])
     for commutator in (False, True):
         _, trace = effective_model_fidelity(p, psi0, store_every=37,
                                             include_commutator_terms=commutator)
-        direct = [abs(np.vdot(f.amplitudes, e.amplitudes)) ** 2
+        direct = [abs(np.vdot(f, e)) ** 2
                   for f, e in zip(trace.full_states, trace.effective_states)]
         np.testing.assert_allclose(trace.fidelities, direct, rtol=0, atol=1e-12)
 
