@@ -21,13 +21,25 @@ def poisson_tail(cutoff: int, mean: float) -> float:
     """P(X > cutoff) for X ~ Poisson(mean), summed term by term past the
     cutoff (no 1 - CDF cancellation). A term is exp(k log mean - mean -
     lgamma(k+1)) up to the mean, where the first ones may underflow, and
-    P(X = k-1) mean / k beyond it. A mean that is negative or not finite
-    has no Poisson law (the sum would never end at mean = inf) and raises
+    P(X = k-1) mean / k beyond it. A cutoff at least one below the mean
+    would take O(mean) terms that way; there P(X <= cutoff) < 1/2 (the
+    Poisson median is above mean - 1), so 1 - P(X <= cutoff) is taken
+    instead, from the head terms summed down from the cutoff, which fall
+    as P(X = k) k / mean. A mean that is negative or not finite has no
+    Poisson law (the sum would never end at mean = inf) and raises
     ValueError."""
     if not 0.0 <= mean < inf:
         raise ValueError(f"Poisson mean must be finite and non-negative, got {mean}")
     if mean == 0.0:
         return 0.0
+    if 0 <= cutoff and cutoff + 1 <= mean:
+        head, k = 0.0, cutoff
+        term = exp(k * log(mean) - mean - lgamma(k + 1))  # 0.0 once it underflows
+        while k >= 0 and term > head * 1e-17:
+            head += term
+            term *= k / mean
+            k -= 1
+        return 1.0 - head
     total, k = 0.0, cutoff + 1
     term = exp(k * log(mean) - mean - lgamma(k + 1))
     while k <= mean or term > total * 1e-17:
@@ -58,7 +70,8 @@ def min_cutoff(eta: complex, tail_tolerance: float) -> int:
     lo, hi = -1, 0  # the tail exceeds the tolerance at lo, not at the answer
     while poisson_tail(hi, lam) > tail_tolerance:
         if hi == 10_000:
-            raise ValueError("cutoff search did not converge; tolerance too small?")
+            raise ValueError(f"no Fock cutoff up to 10000 keeps the coherent tail of mean "
+                             f"photon number {lam:.6g} within {tail_tolerance:g}")
         lo, hi = hi, min(2 * hi or 1, 10_000)
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -18,22 +18,27 @@ validation in this module is the executable check of that convention.
 
 The oscillating model is solved exactly, not integrated: it is a frame
 rotation of a static Hamiltonian, diagonalized and held per block of the
-conserved charge 2Jz + n (see `_frame_propagator`). Only `hamiltonian_full`
+conserved charge 2Jz + n (see `_frame_propagator`). The solver, the
+fidelity scan and the diagnostics read the model from vectors
+(`_model_vectors`): m, the superdiagonal of J+, the one nonzero diagonal of
+a^2 and the charge, with the element formulas of the dense operators, so no
+ladder matrix or `Operator` is built for them. Only `hamiltonian_full`
 builds a dim x dim matrix, for the tests and oracles; the independent check
-that H(t) conserves 2Jz + n (`conservation_residual`) reads only its nonzero
-elements.
+that H(t) conserves 2Jz + n (`conservation_residual`) forms only its nonzero
+elements, against the charge of `conserved_charge`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import copysign, inf, isqrt
+from typing import NamedTuple
 
 import numpy as np
 
 from .boson import FockSpace, op_annihilate
 from .linalg import NORM_TOL, Operator, StateVector
-from .spin import SpinSpace, collective_op, nonlinear_observable
+from .spin import SpinSpace, collective_op
 
 
 def dispersive_coupling(g0: float, delta_minus: float) -> float:
@@ -121,6 +126,30 @@ def time_grid(params: TwoPhotonTCParams, store_every: int = 1):
     return nsteps, params.t_final / nsteps, stored
 
 
+class _ModelVectors(NamedTuple):
+    """The two-photon model's pieces as vectors: m on the spin indices, the
+    superdiagonal <m+1|J+|m> at m[1:], <n|a^2|n+2> at n = 0..cutoff-2, and the
+    charge 2Jz + n on the joint indices."""
+
+    m: np.ndarray
+    jplus_up: np.ndarray
+    a2_up: np.ndarray
+    charge: np.ndarray
+
+
+def _model_vectors(params: TwoPhotonTCParams) -> _ModelVectors:
+    """The pieces of the model from the element formulas of `collective_op`,
+    `op_annihilate` @ itself and `conserved_charge`, so each equals what those
+    dense objects give bit for bit, without building them."""
+    space = SpinSpace(params.two_j)
+    j, m = space.j, space.m_values()
+    n = np.arange(params.fock_cutoff + 1, dtype=float)
+    jplus_up = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
+    # the one nonzero product a @ a forms: <n-2|a|n-1> <n-1|a|n> for n >= 2
+    a2_up = np.sqrt(n[1:-1]) * np.sqrt(n[2:])
+    return _ModelVectors(m, jplus_up, a2_up, (2.0 * m[:, None] + n[None, :]).ravel())
+
+
 def _ladder_parts(params: TwoPhotonTCParams):
     """Dense g0 J+ (x) a^2 and its dagger, plus the leading effective
     generator diagonal."""
@@ -151,18 +180,17 @@ def conservation_residual(params: TwoPhotonTCParams, t: float = 0.237) -> float:
     """max |[H(t), 2Jz + n]| entrywise at one (arbitrary) time.
 
     [H, Q]_rc = H_rc (q_c - q_r) vanishes wherever H does, so only the
-    nonzero elements of e^{idt} g0 J+ (x) a^2 are formed, at the positions
-    read off the nonzero entries of J+ and a^2; their Hermitian conjugates
-    give the same moduli."""
-    jp = collective_op(SpinSpace(params.two_j), "jplus").matrix.entries
-    a = op_annihilate(FockSpace(params.fock_cutoff)).entries
-    a2 = a @ a
-    (sr, sc), (fr, fc) = np.nonzero(jp), np.nonzero(a2)
+    nonzero elements of e^{idt} g0 J+ (x) a^2 are formed: the superdiagonal
+    of J+ times the second superdiagonal of a^2, at their joint positions;
+    their Hermitian conjugates give the same moduli. The charge is read from
+    `conserved_charge`, so this checks the model's vectors against it."""
+    model = _model_vectors(params)
     levels = params.fock_cutoff + 1
-    rows = (sr[:, None] * levels + fr).ravel()
-    cols = (sc[:, None] * levels + fc).ravel()
+    spin, fock = np.arange(model.jplus_up.size), np.arange(model.a2_up.size)
+    rows = (spin[:, None] * levels + fock).ravel()
+    cols = rows + levels + 2  # |m-1, n+2>, one spin index and two levels on
     h = np.exp(1j * params.delta_minus * t) * (
-        params.g0 * np.outer(jp[sr, sc], a2[fr, fc]).ravel())
+        params.g0 * np.outer(model.jplus_up, model.a2_up).ravel())
     q = conserved_charge(params).entries.real
     comm = h * q[cols] - q[rows] * h
     return float(np.max(np.abs(comm), initial=0.0))
@@ -175,10 +203,9 @@ def conservation_residual(params: TwoPhotonTCParams, t: float = 0.237) -> float:
 CHUNK_ELEMENTS = 2**13
 
 
-def _charge_blocks(params: TwoPhotonTCParams):
-    """Joint indices grouped by the charge 2Jz + n: one (blocks, size) array
-    of index rows per distinct block size."""
-    q = conserved_charge(params).entries.real
+def _charge_blocks(q: np.ndarray):
+    """Joint indices grouped by the charge q = 2Jz + n: one (blocks, size)
+    array of index rows per distinct block size."""
     order = np.argsort(q, kind="stable")
     starts = np.flatnonzero(np.diff(q[order], prepend=np.nan))
     sizes = np.diff(starts, append=q.size)
@@ -203,21 +230,18 @@ def _frame_propagator(params: TwoPhotonTCParams, psi0: StateVector):
         raise ValueError("psi0 must be normalized")
     if psi0.dim != params.joint_dim:
         raise ValueError("psi0 must live on the joint space")
-    space, levels = SpinSpace(params.two_j), params.fock_cutoff + 1
-    jp = collective_op(space, "jplus").matrix.entries
-    a = op_annihilate(FockSpace(params.fock_cutoff)).entries
-    # <m,n| J+ a^2 |m-1,n+2> at the spin index of m and the Fock level n,
-    # multiplied as g0 * (J+ * a^2) like np.kron in `_ladder_parts`, so the
-    # blocks equal those of the dense generator bit for bit
-    jp_up, a2_up = np.diagonal(jp, 1).real, np.diagonal(a @ a, 2).real
-    d_jz = params.delta_minus * np.repeat(space.m_values(), levels)
+    model, levels = _model_vectors(params), params.fock_cutoff + 1
+    d_jz = params.delta_minus * np.repeat(model.m, levels)
     blocks = []
-    for idx in _charge_blocks(params):
+    for idx in _charge_blocks(model.charge):
         upper, diag = idx[:, :-1], np.arange(idx.shape[1])
         gen = np.zeros(idx.shape + idx.shape[1:])
         gen[:, diag, diag] = d_jz[idx]
+        # <m,n| J+ a^2 |m-1,n+2> at the spin index of m and the Fock level
+        # n, multiplied as g0 * (J+ * a^2) like np.kron in `_ladder_parts`,
+        # so the blocks equal those of the dense generator bit for bit
         gen[:, diag[:-1], diag[1:]] = gen[:, diag[1:], diag[:-1]] = \
-            params.g0 * (jp_up[upper // levels] * a2_up[upper % levels])
+            params.g0 * (model.jplus_up[upper // levels] * model.a2_up[upper % levels])
         evals, evecs = np.linalg.eigh(gen)
         coeffs = np.einsum("bik,bi->bk", evecs.conj(), psi0.amplitudes[idx])
         blocks.append((idx, evals, evecs, coeffs))
@@ -226,7 +250,9 @@ def _frame_propagator(params: TwoPhotonTCParams, psi0: StateVector):
 
 def _full_states(frame, times):
     """Full states at `times`, one read-only row per time, and their largest
-    norm drift |norm - 1| (taken row by row)."""
+    norm drift |norm - 1|. Each norm is sqrt(re.re + im.im) from one stacked
+    (1 x dim) @ (dim x 1) product per part, the BLAS dot np.linalg.norm
+    takes row by row, so the drift keeps its bits."""
     d_jz, blocks = frame
     amps = np.empty((times.size, d_jz.size), dtype=complex)
     for idx, evals, evecs, coeffs in blocks:
@@ -234,7 +260,9 @@ def _full_states(frame, times):
         amps[:, idx] = np.einsum("bik,tbk->tbi", evecs, rotated)
     amps *= np.exp(1j * d_jz * times[:, None])
     amps.setflags(write=False)
-    return amps, max(abs(float(np.linalg.norm(row)) - 1.0) for row in amps)
+    re, im = amps.real, amps.imag
+    norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])
+    return amps, float(np.max(np.abs(norms - 1.0)))
 
 
 def evolve_full(params: TwoPhotonTCParams, psi0: StateVector,
@@ -266,11 +294,9 @@ def effective_generator_diag(params: TwoPhotonTCParams,
     fidelity 0.886 and |1,+1> to 0.844 within a quarter effective period,
     while the second-order generator keeps 0.9999 and 0.954.
     """
-    space = SpinSpace(params.two_j)
-    nm = params.fock_cutoff + 1
-    a_diag = nonlinear_observable(space).entries.real
-    m = space.m_values()
-    n = np.arange(nm, dtype=float)
+    m, j = SpinSpace(params.two_j).m_values(), params.two_j / 2.0
+    a_diag = j * (j + 1) - m**2  # J^2 - Jz^2, as `nonlinear_observable` forms it
+    n = np.arange(params.fock_cutoff + 1, dtype=float)
     if include_commutator_terms:
         scale = params.g0**2 / params.delta_minus
         diag = scale * (a_diag[:, None] * (4.0 * n[None, :] + 2.0)
@@ -391,8 +417,9 @@ def charge_drift(params: TwoPhotonTCParams, trace: EvolutionTrace) -> float:
     if trace.full_states is None:
         raise ValueError("trace has no full states")
     full = trace.full_states
-    q = conserved_charge(params).entries.real
-    # the norms stay one np.vdot per row: a batched form rounds differently
-    nrm = np.array([np.vdot(amps, amps).real for amps in full])
+    q = _model_vectors(params).charge
+    # one stacked (1 x dim) @ (dim x 1) product per row: the same BLAS dot
+    # as np.vdot row by row, so the drift keeps its bits
+    nrm = (full.conj()[:, None, :] @ full[:, :, None]).real[:, 0, 0]
     vals = np.sum(np.abs(full) ** 2 * q, axis=1) / nrm
     return float(np.max(np.abs(vals - vals[0])))

@@ -164,7 +164,8 @@ def _one_record(fam: Family, two_j: int, parameter: float, g: float, eta: comple
     strat = fam.build(two_j, parameter, g=g, eta=eta)
     # the one evolution and projection of the joint state in a record
     report = fisher.postselected_fisher_ratio(strat)
-    ps = success_probability(strat.psi_i, strat.psi_f)
+    # `success_probability` from the overlap the strategy already holds
+    ps = min(abs(strat.initial_overlap) ** 2, 1.0)
     sigma = _sigma_for(fam, two_j, parameter, ps, baseline_theta)
     prep = meas = None
     if with_circuits and fam.levels is not None:

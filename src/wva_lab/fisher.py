@@ -128,7 +128,8 @@ def postselected_fisher_ratio(strategy: WeakValueStrategy) -> FisherReport:
     block = joint.amplitudes.reshape(strategy.system_space.dim, -1)
     a_psi_f = apply(strategy.A, strategy.psi_f).amplitudes
     # d = c' / |c|; the normalized family's QFI is 4 (|d|^2 - |<kicked|d>|^2)
-    d = -1j * (a_psi_f.conj() @ block) @ strategy.B.dense().T / abs(norm)
+    kick, B = -1j * (a_psi_f.conj() @ block), strategy.B
+    d = (kick * B.entries if B.diagonal else kick @ B.entries.T) / abs(norm)
     meter_qfi = 4.0 * (float(np.real(np.vdot(d, d))) - abs(np.vdot(kicked.amplitudes, d)) ** 2)
     weighted = ps * meter_qfi
     ratio = weighted / total

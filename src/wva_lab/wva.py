@@ -36,11 +36,9 @@ from .linalg import (
     StateVector,
     apply,
     expectation,
-    expm_i,
     fidelity,
     inner,
     project_left,
-    tensor,
 )
 from .spin import SpinSpace, collective_op, dicke_state, nonlinear_observable, superpose_dicke, variance
 
@@ -303,8 +301,11 @@ def evolved_joint(strategy: WeakValueStrategy) -> StateVector:
     only on the rows where psi_i has weight (two Dicke levels for every
     collective family); every other row is an exact zero. The returned state
     is full-length, so every reduction over it (projections, overlaps, norms)
-    runs on the same operands as on the full outer product. Otherwise one
-    dense eigendecomposition of A (x) B.
+    runs on the same operands as on the full outer product. Otherwise the
+    kick is the same phases in the eigenbases of A = V diag(lambda) V^dag
+    and of B = W diag(b) W^dag (W = 1 for a diagonal B): the joint state as
+    a (system, meter) block is V (outer(V^dag psi_i, W^dag phi_i)
+    exp(-i g lambda (x) b)) W^T, with no eigendecomposition of A (x) B.
     """
     dim_s, dim_m = strategy.system_space.dim, strategy.meter_space.dim
     if dim_s * dim_m > DEFAULT_MAX_TENSOR_DIM:
@@ -318,11 +319,18 @@ def evolved_joint(strategy: WeakValueStrategy) -> StateVector:
         block[rows] = (np.outer(psi[rows], strategy.phi_i.amplitudes)
                        * np.exp(-1j * strategy.g * np.outer(a_diag, b_diag)))
         return StateVector(dim=dim_s * dim_m, amplitudes=block.ravel())
-    u = expm_i(tensor(strategy.A, strategy.B), strategy.g)
-    return StateVector(
-        dim=dim_s * dim_m,
-        amplitudes=apply(u, tensor(strategy.psi_i, strategy.phi_i)).amplitudes,
-    )
+    lam, v = np.linalg.eigh(strategy.A.dense())
+    phi = strategy.phi_i.amplitudes
+    if strategy.B.diagonal:
+        b, w = strategy.B.entries.real, None
+    else:
+        b, w = np.linalg.eigh(strategy.B.entries)
+        phi = w.conj().T @ phi
+    block = v @ (np.outer(v.conj().T @ strategy.psi_i.amplitudes, phi)
+                 * np.exp(-1j * strategy.g * np.outer(lam, b)))
+    if w is not None:
+        block = block @ w.T
+    return StateVector(dim=dim_s * dim_m, amplitudes=block.ravel())
 
 
 def postselect(strategy: WeakValueStrategy) -> PostselectionResult:

@@ -1,6 +1,6 @@
 import subprocess
 import sys
-from math import exp
+from math import exp, fsum, lgamma, log
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +111,56 @@ def test_poisson_tail_far_below_a_large_mean():
     # the first terms underflow here, yet the tail is essentially 1
     assert poisson_tail(10, 1000.0) == pytest.approx(1.0, abs=1e-12)
     assert poisson_tail(0, 800.0) <= 1.0
+
+
+def forward_tail(cutoff, mean):
+    """The tail summed term by term past the cutoff, up to the mean and on,
+    as `poisson_tail` sums it for every cutoff: O(mean) terms below it."""
+    total, k = 0.0, cutoff + 1
+    term = exp(k * log(mean) - mean - lgamma(k + 1))
+    while k <= mean or term > total * 1e-17:
+        total += term
+        k += 1
+        term = exp(k * log(mean) - mean - lgamma(k + 1)) if k <= mean else term * mean / k
+    return min(total, 1.0)
+
+
+@pytest.mark.parametrize("mean", [0.3, 1.0, 1.5, 7.25, 60.0, 900.0])
+def test_poisson_tail_keeps_its_bits_from_one_below_the_mean(mean):
+    # every real meter has cutoff >= mean, where the sum past the cutoff
+    # is unchanged; below mean - 1 it is 1 - P(X <= cutoff) instead
+    for cutoff in range(int(mean) + 40):
+        if cutoff + 1 > mean:
+            assert poisson_tail(cutoff, mean) == forward_tail(cutoff, mean)
+        else:
+            head = fsum(exp(k * log(mean) - mean - lgamma(k + 1)) for k in range(cutoff + 1))
+            assert head < 0.5
+            assert poisson_tail(cutoff, mean) == pytest.approx(1.0 - head, rel=1e-14)
+            assert poisson_tail(cutoff, mean) == pytest.approx(forward_tail(cutoff, mean),
+                                                               rel=1e-12)
+
+
+@pytest.mark.parametrize("call, expect", [
+    ("print(poisson_tail(10, 9e6), poisson_tail(8192, 9e6), poisson_tail(4, 1e308))",
+     "1.0 1.0 1.0"),
+    ("print(poisson_tail(10**6 - 5000, 1e6) > 0.99999)", "True"),
+], ids=["far-below", "near"])
+def test_poisson_tail_below_a_large_mean_is_bounded(call, expect):
+    # the sum up to the mean took O(mean) terms (9e6 per call here), so
+    # each call runs in a fresh process with a timeout
+    code = f"from wva_lab.boson import *; {call}"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, cwd=Path(__file__).resolve().parents[1] / "src")
+    assert out.returncode == 0 and out.stdout.split() == expect.split()
+
+
+def test_min_cutoff_rejects_a_mean_no_cutoff_holds():
+    code = "from wva_lab.boson import *; min_cutoff(3000.0, 1e-12)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, cwd=Path(__file__).resolve().parents[1] / "src")
+    assert out.returncode == 1
+    assert out.stderr.splitlines()[-1] == ("ValueError: no Fock cutoff up to 10000 keeps the "
+                                           "coherent tail of mean photon number 9e+06 within 1e-12")
 
 
 @pytest.mark.parametrize("eta, tol, cutoff", [

@@ -245,6 +245,24 @@ def test_dynamics_non_finite_meter_eta_exits_2(eta):
     assert "coherent amplitude eta" in out.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["weak-value", "--two-j", "4", "--kappa", "0.001", "--eta", "3000"],
+    ["dynamics", "--two-j", "2", "--g0", "0.05", "--delta-minus", "1.0", "--fock-cutoff", "4",
+     "--t-final", "5", "--meter-eta", "1e154"],
+], ids=["weak-value", "dynamics"])
+def test_a_meter_mean_no_cutoff_holds_exits_2(argv):
+    # the cutoff search summed the Poisson tail up to the mean (9e6 and
+    # 1e308 terms per sum), so a fresh process with a timeout
+    code = "import sys; from wva_lab.cli import run; sys.exit(run(sys.argv[1:]))"
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code, *argv],
+                         capture_output=True, text=True, timeout=60,
+                         cwd=pathlib.Path(__file__).resolve().parents[1] / "src")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.splitlines() == [out.stderr.strip()]
+    assert "error: no Fock cutoff up to 10000 keeps the coherent tail" in out.stderr
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--g0", "1e-200", "--delta-minus", "1"], "g_dispersive = 4 g0^2 / delta_minus must be"),
     (["--g0", "1e200", "--delta-minus", "1e201"], "g_dispersive = 4 g0^2 / delta_minus must be"),

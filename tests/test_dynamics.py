@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wva_lab import dynamics
-from wva_lab.boson import FockSpace, coherent_state
+from wva_lab.boson import FockSpace, coherent_state, op_annihilate
 from wva_lab.dynamics import (
     EvolutionTrace,
     TwoPhotonTCParams,
@@ -23,7 +23,7 @@ from wva_lab.linalg import Operator, StateVector, expm_i, fidelity, tensor
 from wva_lab.spin import SpinSpace, collective_op, dicke_state, nonlinear_observable
 from wva_lab.boson import op_number
 
-from conftest import random_state
+from conftest import random_state, spy_everywhere
 from chunked_scan_oracle import (
     chunked_fidelities,
     loop_charge_drift,
@@ -395,6 +395,86 @@ def test_trace_arrays_equal_the_old_statevectors(rng, name, commutator):
     assert full.full_states.tobytes() == trace.full_states.tobytes()
     assert full.max_norm_drift == trace.max_norm_drift
     assert effective.effective_states.tobytes() == trace.effective_states.tobytes()
+
+
+def old_generator_diag(p, commutator):
+    """The effective generator diagonal as it was built from the dense
+    `nonlinear_observable`."""
+    space = SpinSpace(p.two_j)
+    a_diag = nonlinear_observable(space).entries.real
+    m, n = space.m_values(), np.arange(p.fock_cutoff + 1, dtype=float)
+    if commutator:
+        return (p.g0**2 / p.delta_minus * (a_diag[:, None] * (4.0 * n[None, :] + 2.0)
+                + 2.0 * m[:, None] * (n[None, :] ** 2 + n[None, :] + 1.0))).ravel()
+    return (p.g_dispersive * np.outer(a_diag, n)).ravel()
+
+
+@pytest.mark.parametrize("two_j", range(1, 13))
+def test_model_vectors_equal_the_dense_operators(two_j):
+    # the vectors replace the dense J+, a @ a and the diagonal Operators, so
+    # they must carry the same bits, and the dense ladders no other nonzero
+    for cutoff in range(1, 21):
+        p = make_params(two_j=two_j, fock_cutoff=cutoff)
+        model = dynamics._model_vectors(p)
+        jp = collective_op(SpinSpace(two_j), "jplus").matrix.entries
+        a = op_annihilate(FockSpace(cutoff)).entries
+        a2 = a @ a
+        assert model.m.tobytes() == SpinSpace(two_j).m_values().tobytes()
+        assert model.jplus_up.tobytes() == np.diagonal(jp, 1).real.tobytes()
+        assert model.a2_up.tobytes() == np.diagonal(a2, 2).real.tobytes()
+        assert np.count_nonzero(jp) == model.jplus_up.size
+        assert np.count_nonzero(a2) == model.a2_up.size
+        assert model.charge.tobytes() == conserved_charge(p).entries.real.tobytes()
+        for commutator in (False, True):
+            assert dynamics.effective_generator_diag(p, commutator).tobytes() == \
+                old_generator_diag(p, commutator).tobytes()
+
+
+def test_model_calls_build_no_dense_ladder(monkeypatch, rng):
+    p, psi0 = block_oracle_case(rng, 6, 9)
+    calls = []
+    for name in ("collective_op", "op_annihilate"):
+        spy_everywhere(monkeypatch, name, calls)
+    _, trace = effective_model_fidelity(p, psi0, store_every=50)
+    charge_drift(p, trace)
+    charge_drift(p, evolve_full(p, psi0, store_every=50))
+    conservation_residual(p)
+    assert calls == []
+    hamiltonian_full(p, 0.1)  # the dense oracle still builds both
+    assert sorted(calls) == ["collective_op", "op_annihilate"]
+
+
+def single_level_frame(rng, length):
+    """A frame of `length` one-member blocks with random coefficients, so
+    `_full_states` gives unnormalized rows of any length."""
+    idx = np.arange(length)[:, None]
+    coeffs = rng.normal(size=(length, 1)) + 1j * rng.normal(size=(length, 1))
+    blocks = [(idx, rng.normal(size=(length, 1)), np.ones((length, 1, 1)), coeffs)]
+    return rng.normal(size=length), blocks
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 17, 255, 1001, 2999])
+@pytest.mark.parametrize("rows", [1, 5])
+def test_stacked_norm_drift_equals_the_row_loop(rng, length, rows):
+    frame = single_level_frame(rng, length)
+    times = np.linspace(0.0, 3.0, rows)
+    amps, drift = dynamics._full_states(frame, times)
+    states, old_drift = statevector_full_states(frame, times)
+    assert amps.tobytes() == np.array([s.amplitudes for s in states]).tobytes()
+    assert drift == old_drift > 0.0
+
+
+@pytest.mark.parametrize("two_j, cutoff", [(2, 2), (6, 4), (12, 10), (30, 32), (50, 56)])
+@pytest.mark.parametrize("rows", [1, 4])
+def test_stacked_charge_norms_equal_the_row_loop(rng, two_j, cutoff, rows):
+    # odd joint lengths from 9 to 2907 of unnormalized random rows
+    p = make_params(two_j=two_j, fock_cutoff=cutoff)
+    assert p.joint_dim % 2 == 1
+    full = rng.normal(size=(rows, p.joint_dim)) + 1j * rng.normal(size=(rows, p.joint_dim))
+    trace = EvolutionTrace(times=np.arange(rows, dtype=float), full_states=full,
+                           effective_states=None, fidelities=None, max_norm_drift=0.0)
+    states = [StateVector.unnormalized(row) for row in full]
+    assert charge_drift(p, trace) == loop_charge_drift(conserved_charge(p).entries.real, states)
 
 
 def test_effective_evolution_keeps_the_norm_check(rng):

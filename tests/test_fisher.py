@@ -14,6 +14,7 @@ from wva_lab.fisher import (
 from wva_lab.linalg import StateVector, tensor
 from wva_lab.spin import SpinSpace, dicke_state, superpose_dicke, nonlinear_observable
 from wva_lab.wva import (
+    centered_quadrature,
     postselect,
     strategy_near_deterministic,
     strategy_nonlinear_joint,
@@ -146,6 +147,10 @@ ORACLE_POINTS = {
     "nonlinear_preset": lambda: strategy_nonlinear_joint(12, 1e-3, eta=0.05, g=1e-4),
     "near_deterministic_600": lambda: strategy_near_deterministic(600, 0.04, g=1e-6),
     "uncorrelated_dense_a": lambda: strategy_uncorrelated(0.05, g=1e-4),
+    # B = (a + a^dag)/2 - <x>, a dense meter observable
+    "uncorrelated_dense_b": lambda: dataclasses.replace(
+        strategy_uncorrelated(0.05, g=1e-4),
+        B=centered_quadrature(strategy_uncorrelated(0.05, g=1e-4))),
 }
 
 

@@ -31,7 +31,7 @@ from wva_lab.wva import (
     with_coupling,
 )
 
-from conftest import FAMILY_PARAMETERS, random_state
+from conftest import FAMILY_PARAMETERS, random_hermitian, random_state
 
 
 # ---------------------------------------------------------------- weak value
@@ -473,6 +473,21 @@ def test_evolved_joint_matches_dense_oracle(strat):
     dense_a = Operator(strat.A.dim, strat.A.dense(), hermitian=True)
     for s in (strat, dataclasses.replace(strat, A=dense_a)):
         np.testing.assert_allclose(evolved_joint(s).amplitudes, oracle, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("dense_b", [False, True], ids=["diagonal-B", "dense-B"])
+def test_evolved_joint_eigenbasis_kick_matches_dense_oracle(rng, dense_b):
+    # the dense path works in the eigenbases of A and B; the oracle
+    # diagonalizes the whole A (x) B
+    base = strategy_uncorrelated(0.1, g=0.3, eta=0.6)
+    space = SpinSpace(4)
+    B = random_hermitian(rng, base.meter_space.dim) if dense_b else base.B
+    strat = dataclasses.replace(base, system_space=space, psi_i=random_state(rng, space.dim),
+                                psi_f=random_state(rng, space.dim),
+                                A=random_hermitian(rng, space.dim), B=B)
+    oracle = expm_i(tensor(strat.A, strat.B), strat.g).dense() \
+        @ tensor(strat.psi_i, strat.phi_i).amplitudes
+    assert np.max(np.abs(evolved_joint(strat).amplitudes - oracle)) <= 1e-14
 
 
 def test_strategy_records_overlap_at_construction():
