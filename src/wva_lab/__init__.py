@@ -37,7 +37,7 @@ from .linalg import (
     project_left,
     tensor,
 )
-from .spin import CollectiveObservable, SpinSpace, collective_op, dicke_state, nonlinear_observable, superpose_dicke, variance
+from .spin import SpinSpace, collective_op, dicke_state, nonlinear_observable, superpose_dicke, variance
 from .wva import (
     PostselectionResult,
     WeakValueStrategy,

@@ -105,7 +105,12 @@ class FockSpace:
 
 def coherent_state(space, eta: complex):
     """Truncated coherent state, renormalized after truncation. A non-finite
-    eta, or one whose |eta|^2 overflows, raises ValueError."""
+    eta, or one whose |eta|^2 overflows, raises ValueError.
+
+    The recurrence eta^n / sqrt(n!) from 1 peaks near e^{|eta|^2 / 2} and
+    would overflow from |eta|^2 of a few hundred, so past 2^500 the
+    amplitudes so far are scaled by 2^-500. A power-of-two scale is exact:
+    a state that never gets there keeps its bits."""
     from .linalg import StateVector
 
     lam = _coherent_mean(eta)
@@ -121,6 +126,8 @@ def coherent_state(space, eta: complex):
     amps[0] = 1.0
     for n in range(1, space.dim):
         amps[n] = amps[n - 1] * eta / sqrt(n)
+        if abs(amps[n]) > 2.0**500:
+            amps[:n + 1] *= 2.0**-500
     return StateVector.of(amps)
 
 

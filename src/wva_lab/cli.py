@@ -314,12 +314,9 @@ def cmd_dynamics(cfg: RunConfig) -> int:
                                         fock_cutoff=cutoff, t_final=t_final, dt=dt)
     space = SpinSpace(two_j)
     m_init = float(cfg.get("m_init", 0.0))
-    meter_eta = float(cfg.get("meter_eta", 0.25))
-    if meter_eta == 0.0:
-        meter = StateVector.basis(cutoff + 1, 0)
-    else:
-        # validation probe: a renormalized truncated coherent state is fine
-        meter = coherent_state(FockSpace(cutoff, tail_tolerance=1e-6), meter_eta)
+    # validation probe: a renormalized truncated coherent state is fine
+    meter = coherent_state(FockSpace(cutoff, tail_tolerance=1e-6),
+                           float(cfg.get("meter_eta", 0.25)))
     sys0 = dicke_state(space, m_init)
     psi0 = StateVector(space.dim * (cutoff + 1),
                        np.kron(sys0.amplitudes, meter.amplitudes))

@@ -153,7 +153,7 @@ def _model_vectors(params: TwoPhotonTCParams) -> _ModelVectors:
 def _ladder_parts(params: TwoPhotonTCParams):
     """Dense g0 J+ (x) a^2 and its dagger, plus the leading effective
     generator diagonal."""
-    jp = collective_op(SpinSpace(params.two_j), "jplus").matrix.entries
+    jp = collective_op(SpinSpace(params.two_j), "jplus").entries
     a = op_annihilate(FockSpace(params.fock_cutoff)).entries
     h_plus = params.g0 * np.kron(jp, a @ a)
     return h_plus, h_plus.conj().T, effective_generator_diag(params)

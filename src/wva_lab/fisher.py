@@ -99,8 +99,9 @@ def postselected_fisher_ratio(strategy: WeakValueStrategy) -> FisherReport:
     c = <psi_f| exp(-i g A (x) B) |psi_i>|phi_i>, and because the unitary
     commutes with A (x) B its g-derivative is
     c' = -i <A psi_f| exp(-i g A (x) B) B |psi_i>|phi_i>. Then P_s = |c|^2 and
-    P_s * QFI = 4 (|c'|^2 - |<c|c'>|^2 / |c|^2), for dense or diagonal A and
-    B alike.
+    P_s * QFI = 4 (|c'|^2 - |<c|c'>|^2 / |c|^2), for a dense or diagonal A;
+    B is diagonal in the meter's Fock basis, so applying it scales each
+    meter amplitude.
 
     The reported prediction (1 - |eta g A_w|^2) / 2 is the leading-order
     value in the joint limit sqrt(kappa) j -> 0, j -> infinity, not the
@@ -128,8 +129,7 @@ def postselected_fisher_ratio(strategy: WeakValueStrategy) -> FisherReport:
     block = joint.amplitudes.reshape(strategy.system_space.dim, -1)
     a_psi_f = apply(strategy.A, strategy.psi_f).amplitudes
     # d = c' / |c|; the normalized family's QFI is 4 (|d|^2 - |<kicked|d>|^2)
-    kick, B = -1j * (a_psi_f.conj() @ block), strategy.B
-    d = (kick * B.entries if B.diagonal else kick @ B.entries.T) / abs(norm)
+    d = -1j * (a_psi_f.conj() @ block) * strategy.B.entries / abs(norm)
     meter_qfi = 4.0 * (float(np.real(np.vdot(d, d))) - abs(np.vdot(kicked.amplitudes, d)) ** 2)
     weighted = ps * meter_qfi
     ratio = weighted / total

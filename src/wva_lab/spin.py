@@ -16,8 +16,6 @@ import numpy as np
 
 from .linalg import Operator, StateVector, apply, expectation
 
-VALID_KINDS = ("jz", "jplus", "jminus", "j2", "nonlinear")
-
 
 @dataclass(frozen=True)
 class SpinSpace:
@@ -50,17 +48,6 @@ class SpinSpace:
         return (self.two_j - two_m) // 2
 
 
-@dataclass(frozen=True)
-class CollectiveObservable:
-    space: SpinSpace
-    kind: str
-    matrix: Operator
-
-    def __post_init__(self):
-        if self.kind not in VALID_KINDS:
-            raise ValueError(f"unknown collective operator kind {self.kind!r}")
-
-
 def dicke_state(space: SpinSpace, m: float) -> StateVector:
     """Unit basis vector |j, m>."""
     return StateVector.basis(space.dim, space.index_of(m))
@@ -83,7 +70,7 @@ def superpose_dicke(space: SpinSpace, terms) -> StateVector:
     return StateVector(dim=space.dim, amplitudes=amps / nrm)
 
 
-def collective_op(space: SpinSpace, kind: str) -> CollectiveObservable:
+def collective_op(space: SpinSpace, kind: str) -> Operator:
     """Collective operator of the requested kind.
 
     jz, j2 and the nonlinear observable are diagonal in the Dicke basis;
@@ -108,12 +95,12 @@ def collective_op(space: SpinSpace, kind: str) -> CollectiveObservable:
         op = Operator(space.dim, mat, hermitian=False)
     else:
         raise ValueError(f"unknown collective operator kind {kind!r}")
-    return CollectiveObservable(space=space, kind=kind, matrix=op)
+    return op
 
 
 def nonlinear_observable(space: SpinSpace) -> Operator:
     """J^2 - Jz^2: eigenvalue j(j+1) on |j,0>, j on |j,+-j>."""
-    return collective_op(space, "nonlinear").matrix
+    return collective_op(space, "nonlinear")
 
 
 def variance(op: Operator, state: StateVector) -> float:

@@ -5,8 +5,9 @@ strategy families used throughout the package.
 Conventions worth knowing before reading on:
 
 * A *strategy* bundles system initial/final states, the system observable A,
-  the meter initial state, the meter observable B and the impulse area g of
-  the interaction. The interaction is impulsive: a single unitary
+  the meter initial state, the meter observable B (diagonal in the meter's
+  Fock basis: the number operator for every constructor) and the impulse
+  area g of the interaction. The interaction is impulsive: a single unitary
   exp(-i g A (x) B), no time grid.
 * The weak value A_w = <psi_f|A|psi_i> / <psi_f|psi_i> is evaluated literally,
   so e.g. the textbook qubit configuration (A = sigma_x, psi_i = down,
@@ -48,6 +49,8 @@ DEFAULT_ETA = 0.1 + 0.0j
 BASELINE_THETA = 0.05
 
 OVERLAP_EPS = 1e-14
+#: Fock levels the default meter keeps above the coherent-tail cutoff.
+METER_HEADROOM = 2
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,8 @@ class WeakValueStrategy:
             raise ValueError("meter state and B must act on meter_space")
         if not (self.A.hermitian and self.B.hermitian):
             raise ValueError("A and B must be Hermitian")
+        if not self.B.diagonal:
+            raise ValueError("B must be diagonal in the meter's Fock basis")
         object.__setattr__(self, "initial_overlap", inner(self.psi_f, self.psi_i))
 
     def weak_value(self) -> complex:
@@ -166,7 +171,7 @@ def max_weak_value_bound(psi_i: StateVector, A: Operator, target_ps: float) -> f
 # ---------------------------------------------------------------------------
 
 
-def _default_meter(eta: complex, headroom: int = 2):
+def _default_meter(eta: complex):
     """(meter space, coherent state, number operator) for amplitude eta,
     built once per distinct eta and shared: every object in it is frozen."""
     if not np.isfinite(eta):
@@ -174,13 +179,13 @@ def _default_meter(eta: complex, headroom: int = 2):
     # 0.0 == -0.0 as a cache key, but the two give coherent amplitudes with
     # different signed zeros; the signs of both parts keep them apart.
     z = complex(eta)
-    return _meter(eta, headroom, copysign(1.0, z.real), copysign(1.0, z.imag))
+    return _meter(eta, copysign(1.0, z.real), copysign(1.0, z.imag))
 
 
 @lru_cache(maxsize=64, typed=True)
-def _meter(eta: complex, headroom: int, *_zero_signs: float):
+def _meter(eta: complex, *_zero_signs: float):
     """`typed=True` keeps e.g. 0.1 and 0.1+0j apart."""
-    space = FockSpace.for_coherent(eta, headroom=headroom)
+    space = FockSpace.for_coherent(eta, headroom=METER_HEADROOM)
     return space, coherent_state(space, eta), op_number(space)
 
 
@@ -201,7 +206,7 @@ def strategy_linear_optimal(two_j: int, a_w_target: float, *, g: float = DEFAULT
     j = space.j
     psi_i = superpose_dicke(space, [(j, 1.0), (-j, 1.0)])
     psi_f = superpose_dicke(space, [(j, j + a_w_target), (-j, j - a_w_target)])
-    A = collective_op(space, "jz").matrix
+    A = collective_op(space, "jz")
     meter_space, phi_i, B = _default_meter(eta)
     return WeakValueStrategy(space, psi_i, psi_f, A, meter_space, phi_i, B, g)
 
@@ -218,7 +223,7 @@ def strategy_linear_fixed_sigma(two_j: int, probe_ps: float, *, g: float = DEFAU
     if not 0.0 < target < 1.0:
         raise ValueError(f"2j * probe_ps = {target} must lie strictly between 0 and 1")
     psi_i = superpose_dicke(space, [(j, 1.0), (-j, 1.0)])
-    A = collective_op(space, "jz").matrix
+    A = collective_op(space, "jz")
     psi_f = postselection_state_fixed_Ps(psi_i, A, target)
     meter_space, phi_i, B = _default_meter(eta)
     return WeakValueStrategy(space, psi_i, psi_f, A, meter_space, phi_i, B, g)
@@ -272,7 +277,7 @@ def strategy_uncorrelated(theta: float, *, g: float = DEFAULT_G,
     space = SpinSpace(1)
     psi_i = dicke_state(space, -0.5)
     psi_f = superpose_dicke(space, [(-0.5, sin(theta)), (0.5, 1j * cos(theta))])
-    jp = collective_op(space, "jplus").matrix
+    jp = collective_op(space, "jplus")
     A = Operator(space.dim, jp.entries + jp.entries.conj().T, hermitian=True)
     meter_space, phi_i, B = _default_meter(eta)
     return WeakValueStrategy(space, psi_i, psi_f, A, meter_space, phi_i, B, g)
@@ -284,52 +289,40 @@ def strategy_uncorrelated(theta: float, *, g: float = DEFAULT_G,
 
 
 def _first_order_kick(strategy: WeakValueStrategy, a_w: complex) -> StateVector:
-    """exp(-i g A_w B)|phi_i>, renormalized. Non-unitary when Im A_w != 0."""
-    B, phi = strategy.B, strategy.phi_i
-    if B.diagonal:
-        kicked = phi.amplitudes * np.exp(-1j * strategy.g * a_w * B.entries)
-    else:
-        evals, evecs = np.linalg.eigh(B.entries)
-        kicked = (evecs * np.exp(-1j * strategy.g * a_w * evals)) @ (evecs.conj().T @ phi.amplitudes)
-    return StateVector.of(kicked)
+    """exp(-i g A_w B)|phi_i>, renormalized: one phase per Fock level, as B is
+    diagonal. Non-unitary when Im A_w != 0."""
+    return StateVector.of(strategy.phi_i.amplitudes
+                          * np.exp(-1j * strategy.g * a_w * strategy.B.entries))
 
 
 def evolved_joint(strategy: WeakValueStrategy) -> StateVector:
     """exp(-i g A (x) B)|psi_i>|phi_i>, the exact joint state after the kick.
 
-    When both observables are diagonal the kick is elementwise phases, formed
-    only on the rows where psi_i has weight (two Dicke levels for every
+    B is diagonal (a strategy checks it), so the kick is elementwise phases
+    in the meter's Fock basis. When A is diagonal too, they are formed only
+    on the rows where psi_i has weight (two Dicke levels for every
     collective family); every other row is an exact zero. The returned state
     is full-length, so every reduction over it (projections, overlaps, norms)
     runs on the same operands as on the full outer product. Otherwise the
-    kick is the same phases in the eigenbases of A = V diag(lambda) V^dag
-    and of B = W diag(b) W^dag (W = 1 for a diagonal B): the joint state as
-    a (system, meter) block is V (outer(V^dag psi_i, W^dag phi_i)
-    exp(-i g lambda (x) b)) W^T, with no eigendecomposition of A (x) B.
+    phases act in the eigenbasis of A = V diag(lambda) V^dag: the joint state
+    as a (system, meter) block is V (outer(V^dag psi_i, phi_i)
+    exp(-i g lambda (x) b)), with no eigendecomposition of A (x) B.
     """
     dim_s, dim_m = strategy.system_space.dim, strategy.meter_space.dim
     if dim_s * dim_m > DEFAULT_MAX_TENSOR_DIM:
         raise ValueError("joint dimension exceeds the configured maximum")
-    if strategy.A.diagonal and strategy.B.diagonal:
+    b_diag = strategy.B.entries.real
+    if strategy.A.diagonal:
         psi = strategy.psi_i.amplitudes
         rows = np.flatnonzero(psi)
         a_diag = strategy.A.entries.real[rows]
-        b_diag = strategy.B.entries.real
         block = np.zeros((dim_s, dim_m), dtype=complex)
         block[rows] = (np.outer(psi[rows], strategy.phi_i.amplitudes)
                        * np.exp(-1j * strategy.g * np.outer(a_diag, b_diag)))
         return StateVector(dim=dim_s * dim_m, amplitudes=block.ravel())
     lam, v = np.linalg.eigh(strategy.A.dense())
-    phi = strategy.phi_i.amplitudes
-    if strategy.B.diagonal:
-        b, w = strategy.B.entries.real, None
-    else:
-        b, w = np.linalg.eigh(strategy.B.entries)
-        phi = w.conj().T @ phi
-    block = v @ (np.outer(v.conj().T @ strategy.psi_i.amplitudes, phi)
-                 * np.exp(-1j * strategy.g * np.outer(lam, b)))
-    if w is not None:
-        block = block @ w.T
+    block = v @ (np.outer(v.conj().T @ strategy.psi_i.amplitudes, strategy.phi_i.amplitudes)
+                 * np.exp(-1j * strategy.g * np.outer(lam, b_diag)))
     return StateVector(dim=dim_s * dim_m, amplitudes=block.ravel())
 
 
@@ -363,7 +356,7 @@ def meter_readout(result: PostselectionResult, R: Operator,
         raise ValueError("meter observable must be Hermitian")
     exact = (expectation(R, result.kicked_meter_exact).real
              - expectation(R, strategy.phi_i).real)
-    rb = Operator(R.dim, R.dense() @ strategy.B.dense())
+    rb = Operator(R.dim, R.dense() * strategy.B.entries)  # R B scales R's columns
     alpha = expectation(rb, strategy.phi_i)
     formula = 2.0 * strategy.g * result.weak_value.imag * alpha.real
     return exact, formula

@@ -58,7 +58,7 @@ def test_criterion_1_variance_identities():
         sp = SpinSpace(2 * j)
         ghz = superpose_dicke(sp, [(j, 1.0), (-j, 1.0)])
         mid = superpose_dicke(sp, [(0, 1.0), (-j, 1.0)])
-        v1 = variance(collective_op(sp, "jz").matrix, ghz)
+        v1 = variance(collective_op(sp, "jz"), ghz)
         v2 = variance(nonlinear_observable(sp), mid)
         worst = max(worst, abs(v1 - j**2), abs(v2 - j**4 / 4))
     elapsed = time.time() - t0

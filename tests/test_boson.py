@@ -1,6 +1,6 @@
 import subprocess
 import sys
-from math import exp, fsum, lgamma, log
+from math import exp, fsum, lgamma, log, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +16,46 @@ from wva_lab.boson import (
     op_number,
     poisson_tail,
 )
-from wva_lab.linalg import expectation
+from wva_lab.linalg import StateVector, expectation
 
 
 def test_vacuum():
-    sp = FockSpace(8)
-    vac = coherent_state(sp, 0.0)
-    np.testing.assert_allclose(vac.amplitudes, np.eye(9)[0])
+    # bit for bit the Fock ground state, which `wva-lab dynamics --meter-eta 0`
+    # takes from here
+    for cutoff in (1, 4, 6, 8, 20):
+        ground = StateVector.basis(cutoff + 1, 0).amplitudes.tobytes()
+        for eta in (0.0, -0.0):
+            assert coherent_state(FockSpace(cutoff), eta).amplitudes.tobytes() == ground
+
+
+def _coherent_without_rescale(space, eta):
+    """The recurrence as it was before the 2^-500 rescale: the bit oracle
+    wherever its amplitudes stay finite."""
+    amps = np.zeros(space.dim, dtype=complex)
+    amps[0] = 1.0
+    for n in range(1, space.dim):
+        amps[n] = amps[n - 1] * eta / sqrt(n)
+    return StateVector.of(amps)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.1, 0.3 + 0.4j, 1.0, 3.0, -5j, 10.0, 14 - 14j, 20.0, 26.0])
+def test_coherent_state_keeps_its_bits_below_the_rescale(eta):
+    # |eta| = 26 peaks near e^338 < 2^500, so no amplitude is rescaled
+    space = FockSpace.for_coherent(eta)
+    assert (coherent_state(space, eta).amplitudes.tobytes()
+            == _coherent_without_rescale(space, eta).amplitudes.tobytes())
+
+
+@pytest.mark.parametrize("eta", [26.7, 30.0, 38.0, 40.0, 60.0, 90.0, 30j])
+def test_large_coherent_state_has_poisson_moments(eta):
+    # the unrescaled recurrence overflows here (e^{|eta|^2 / 2} at the peak)
+    space = FockSpace.for_coherent(eta)
+    w = np.abs(coherent_state(space, eta).amplitudes) ** 2
+    n = np.arange(space.dim)
+    lam = abs(eta) ** 2
+    mean = float(w @ n)
+    assert mean == pytest.approx(lam, rel=1e-9)
+    assert float(w @ (n - mean) ** 2) == pytest.approx(lam, rel=1e-9)
 
 
 def test_coherent_moments_closed_form():

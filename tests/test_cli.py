@@ -200,6 +200,32 @@ def test_readme_dynamics_stdout_is_pinned(capsys):
     assert out.encode() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("eta", ["0", "-0.0"])
+def test_dynamics_vacuum_meter_stdout_is_pinned(capsys, eta):
+    # the vacuum meter is the coherent state at eta = 0, whose bits are those
+    # of the basis state |0> that this call once built on a path of its own
+    golden = pathlib.Path(__file__).parent / "reference" / "dynamics_vacuum_meter.stdout"
+    code, out = capture(capsys, ["dynamics", "--two-j", "2", "--g0", "0.02",
+                                 "--delta-minus", "1.0", "--fock-cutoff", "6",
+                                 "--meter-eta", eta])
+    assert code == 0
+    assert out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("eta", ["30", "38"])
+def test_weak_value_large_meter_prints_finite_json(capsys, eta):
+    # the coherent recurrence used to overflow: eta 30 exited 2 with "state
+    # not normalized", and eta 38 printed NaN (not JSON) with exit 0
+    def reject(constant):
+        raise ValueError(f"{constant} is not a JSON number")
+
+    code, out = capture(capsys, ["weak-value", "--two-j", "4", "--kappa", "0.001",
+                                 "--eta", eta])
+    assert code == 0
+    doc = json.loads(out, parse_constant=reject)
+    assert 0.0 < doc["success_prob_exact"] < 1.0
+
+
 def test_dynamics_validation_exits_2(capsys):
     assert run(["dynamics", "--two-j", "2", "--g0", "0.9", "--delta-minus", "1.0"]) == 2
     for bad in ("0", "-3"):

@@ -26,10 +26,10 @@ def _dynamics_params(two_j, cutoff):
 
 #: name -> builder of every diagonal operator the package constructs.
 DIAGONAL_OPERATORS = {
-    "jz_odd": lambda: collective_op(SpinSpace(7), "jz").matrix,
-    "jz": lambda: collective_op(SpinSpace(12), "jz").matrix,
-    "j2": lambda: collective_op(SpinSpace(12), "j2").matrix,
-    "nonlinear": lambda: collective_op(SpinSpace(12), "nonlinear").matrix,
+    "jz_odd": lambda: collective_op(SpinSpace(7), "jz"),
+    "jz": lambda: collective_op(SpinSpace(12), "jz"),
+    "j2": lambda: collective_op(SpinSpace(12), "j2"),
+    "nonlinear": lambda: collective_op(SpinSpace(12), "nonlinear"),
     "op_number": lambda: op_number(FockSpace(9)),
     "conserved_charge": lambda: conserved_charge(_dynamics_params(4, 5)),
     "identity": lambda: Operator.identity(11),
@@ -114,7 +114,7 @@ def test_evolved_joint_matches_dense_propagator(kind):
     # psi_i (x) phi_i, with A each diagonal spin operator and B = n
     base = strategy_nonlinear_joint(8, 1e-3, g=3e-3, eta=0.4)
     space = base.system_space
-    A = Operator.identity(space.dim) if kind == "identity" else collective_op(space, kind).matrix
+    A = Operator.identity(space.dim) if kind == "identity" else collective_op(space, kind)
     strat = dataclasses.replace(base, A=A)
     joint = StateVector.unnormalized(np.kron(strat.psi_i.amplitudes, strat.phi_i.amplitudes))
     generator = np.kron(A.dense(), strat.B.dense()).real

@@ -91,7 +91,7 @@ def test_hamiltonian_phase_one_slice():
     h = hamiltonian_full(p, t)
     sp = SpinSpace(p.two_j)
     meter = FockSpace(p.fock_cutoff)
-    jp = collective_op(sp, "jplus").matrix.entries
+    jp = collective_op(sp, "jplus").entries
     from wva_lab.boson import op_annihilate
 
     a2 = op_annihilate(meter).entries @ op_annihilate(meter).entries
@@ -416,7 +416,7 @@ def test_model_vectors_equal_the_dense_operators(two_j):
     for cutoff in range(1, 21):
         p = make_params(two_j=two_j, fock_cutoff=cutoff)
         model = dynamics._model_vectors(p)
-        jp = collective_op(SpinSpace(two_j), "jplus").matrix.entries
+        jp = collective_op(SpinSpace(two_j), "jplus").entries
         a = op_annihilate(FockSpace(cutoff)).entries
         a2 = a @ a
         assert model.m.tobytes() == SpinSpace(two_j).m_values().tobytes()

@@ -11,10 +11,9 @@ from wva_lab.fisher import (
     qfi_product,
     qfi_pure_generator,
 )
-from wva_lab.linalg import StateVector, tensor
+from wva_lab.linalg import Operator, StateVector, tensor
 from wva_lab.spin import SpinSpace, dicke_state, superpose_dicke, nonlinear_observable
 from wva_lab.wva import (
-    centered_quadrature,
     postselect,
     strategy_near_deterministic,
     strategy_nonlinear_joint,
@@ -143,14 +142,16 @@ def test_postselected_ratio_step_shrinks_with_weak_value():
     assert rep.ratio == pytest.approx(nonlinear_ratio_limit(400, 1e-9, 0.05), rel=1e-6)
 
 
+def _with_n_squared(strat):
+    return dataclasses.replace(strat, B=Operator.from_diagonal(strat.B.entries.real ** 2))
+
+
 ORACLE_POINTS = {
     "nonlinear_preset": lambda: strategy_nonlinear_joint(12, 1e-3, eta=0.05, g=1e-4),
     "near_deterministic_600": lambda: strategy_near_deterministic(600, 0.04, g=1e-6),
     "uncorrelated_dense_a": lambda: strategy_uncorrelated(0.05, g=1e-4),
-    # B = (a + a^dag)/2 - <x>, a dense meter observable
-    "uncorrelated_dense_b": lambda: dataclasses.replace(
-        strategy_uncorrelated(0.05, g=1e-4),
-        B=centered_quadrature(strategy_uncorrelated(0.05, g=1e-4))),
+    # B = n^2, a meter observable other than n
+    "uncorrelated_n_squared": lambda: _with_n_squared(strategy_uncorrelated(0.05, g=1e-4)),
 }
 
 

@@ -57,7 +57,7 @@ def test_superpose_examples():
 def test_jz_action():
     for two_j in range(1, 11):
         sp = SpinSpace(two_j)
-        jz = collective_op(sp, "jz").matrix
+        jz = collective_op(sp, "jz")
         for m in sp.m_values():
             st = dicke_state(sp, m)
             np.testing.assert_allclose(jz.dense() @ st.amplitudes,
@@ -77,10 +77,10 @@ def test_nonlinear_eigenvalues():
 def test_ladder_identities(two_j):
     # oracles: direct matrix arithmetic for the angular-momentum algebra
     sp = SpinSpace(two_j)
-    jp = collective_op(sp, "jplus").matrix.entries
-    jm = collective_op(sp, "jminus").matrix.entries
-    jz = collective_op(sp, "jz").matrix.dense()
-    j2 = collective_op(sp, "j2").matrix.dense()
+    jp = collective_op(sp, "jplus").entries
+    jm = collective_op(sp, "jminus").entries
+    jz = collective_op(sp, "jz").dense()
+    j2 = collective_op(sp, "j2").dense()
     assert np.max(np.abs(jp.conj().T - jm)) < 1e-12
     assert np.max(np.abs(jp @ jm - jm @ jp - 2 * jz)) < 1e-10
     assert np.max(np.abs(jm @ jp + jz @ jz + jz - j2)) < 1e-10
@@ -102,7 +102,7 @@ def test_nonlinear_spectrum_bounds(two_j):
 def test_variance_identities(j):
     sp = SpinSpace(2 * j)
     ghz = superpose_dicke(sp, [(j, 1.0), (-j, 1.0)])
-    jz = collective_op(sp, "jz").matrix
+    jz = collective_op(sp, "jz")
     assert variance(jz, ghz) == pytest.approx(j**2, abs=1e-9)
     mid = superpose_dicke(sp, [(0, 1.0), (-j, 1.0)])
     assert variance(nonlinear_observable(sp), mid) == pytest.approx(j**4 / 4, rel=1e-12)
@@ -111,7 +111,7 @@ def test_variance_identities(j):
 def test_variance_eigenstate_zero():
     sp = SpinSpace(8)
     st = dicke_state(sp, 1)
-    assert variance(collective_op(sp, "jz").matrix, st) == 0.0
+    assert variance(collective_op(sp, "jz"), st) == 0.0
 
 
 def test_variance_grid_search_max():

@@ -40,7 +40,7 @@ from conftest import FAMILY_PARAMETERS, random_hermitian, random_state
 def test_weak_value_eigenstate():
     sp = SpinSpace(4)
     st_ = dicke_state(sp, 1)
-    jz = collective_op(sp, "jz").matrix
+    jz = collective_op(sp, "jz")
     assert weak_value(st_, st_, jz) == pytest.approx(1.0)
 
 
@@ -62,7 +62,7 @@ def test_weak_value_orthogonal_raises():
     sp = SpinSpace(2)
     with pytest.raises(NullPostselectionError):
         weak_value(dicke_state(sp, 1), dicke_state(sp, 0),
-                   collective_op(sp, "jz").matrix)
+                   collective_op(sp, "jz"))
 
 
 @settings(max_examples=40, deadline=None)
@@ -147,7 +147,7 @@ def test_orthogonal_complement_nonlinear():
 def test_orthogonal_complement_linear():
     sp = SpinSpace(6)
     psi = superpose_dicke(sp, [(3, 1.0), (-3, 1.0)])
-    perp = orthogonal_complement_state(psi, collective_op(sp, "jz").matrix)
+    perp = orthogonal_complement_state(psi, collective_op(sp, "jz"))
     expect = superpose_dicke(sp, [(3, 1.0), (-3, -1.0)])
     assert fidelity(perp, expect) == pytest.approx(1.0, abs=1e-12)
 
@@ -156,7 +156,7 @@ def test_orthogonal_complement_random_orthogonality(rng):
     for two_j in (3, 7, 14):
         sp = SpinSpace(two_j)
         psi = random_state(rng, sp.dim)
-        perp = orthogonal_complement_state(psi, collective_op(sp, "jz").matrix)
+        perp = orthogonal_complement_state(psi, collective_op(sp, "jz"))
         assert abs(inner(psi, perp)) < 1e-12
         assert perp.norm() == pytest.approx(1.0, abs=1e-12)
 
@@ -218,7 +218,7 @@ def test_fixed_sigma_bound_scaling():
     for j in (2, 4, 8, 16):
         sp = SpinSpace(2 * j)
         psi = superpose_dicke(sp, [(j, 1.0), (-j, 1.0)])
-        vals.append(max_weak_value_bound(psi, collective_op(sp, "jz").matrix, 2 * j * c))
+        vals.append(max_weak_value_bound(psi, collective_op(sp, "jz"), 2 * j * c))
     slope = np.polyfit(np.log([2, 4, 8, 16]), np.log(vals), 1)[0]
     assert slope == pytest.approx(0.5, abs=1e-9)
 
@@ -446,13 +446,10 @@ def test_with_coupling_replaces_g():
 
 
 def test_postselect_diagonal_and_dense_paths_agree():
-    # dual route: the O(dim) phase path vs assembling exp(-i g A (x) B)
-    import dataclasses
-
+    # dual route: the phase path on psi_i's rows vs the eigenbasis of a dense A
     strat = strategy_nonlinear_joint(6, 1e-3, g=2e-4)
     dense_a = Operator(strat.A.dim, strat.A.dense(), hermitian=True)
-    dense_b = Operator(strat.B.dim, strat.B.dense(), hermitian=True)
-    dense = dataclasses.replace(strat, A=dense_a, B=dense_b)
+    dense = dataclasses.replace(strat, A=dense_a)
     fast = postselect(strat)
     slow = postselect(dense)
     assert fast.success_prob_exact == pytest.approx(slow.success_prob_exact, abs=1e-14)
@@ -475,13 +472,13 @@ def test_evolved_joint_matches_dense_oracle(strat):
         np.testing.assert_allclose(evolved_joint(s).amplitudes, oracle, rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("dense_b", [False, True], ids=["diagonal-B", "dense-B"])
-def test_evolved_joint_eigenbasis_kick_matches_dense_oracle(rng, dense_b):
-    # the dense path works in the eigenbases of A and B; the oracle
+@pytest.mark.parametrize("random_b", [False, True], ids=["diagonal-B", "random-diagonal-B"])
+def test_evolved_joint_eigenbasis_kick_matches_dense_oracle(rng, random_b):
+    # the dense-A path works in the eigenbasis of A; the oracle
     # diagonalizes the whole A (x) B
     base = strategy_uncorrelated(0.1, g=0.3, eta=0.6)
     space = SpinSpace(4)
-    B = random_hermitian(rng, base.meter_space.dim) if dense_b else base.B
+    B = Operator.from_diagonal(rng.normal(size=base.meter_space.dim)) if random_b else base.B
     strat = dataclasses.replace(base, system_space=space, psi_i=random_state(rng, space.dim),
                                 psi_f=random_state(rng, space.dim),
                                 A=random_hermitian(rng, space.dim), B=B)
@@ -498,12 +495,24 @@ def test_strategy_records_overlap_at_construction():
 
 
 def test_strategy_meter_defaults():
-    strat = strategy_nonlinear_joint(8, 1e-3, eta=0.1)
-    # coherent meter amplitudes follow eta^n / sqrt(n!) up to normalization
-    amps = strat.phi_i.amplitudes
-    for n in range(1, 4):
-        assert amps[n] / amps[n - 1] == pytest.approx(0.1 / np.sqrt(n), rel=1e-12)
-    # meter observable is the (diagonal) number operator
-    np.testing.assert_allclose(np.diag(strat.B.dense()).real,
-                               np.arange(strat.meter_space.dim))
-    assert strat.B.diagonal
+    for fam in FAMILIES.values():
+        strat = fam.build(4, FAMILY_PARAMETERS[fam.name], eta=0.1)
+        # coherent meter amplitudes follow eta^n / sqrt(n!) up to normalization
+        amps = strat.phi_i.amplitudes
+        for n in range(1, 4):
+            assert amps[n] / amps[n - 1] == pytest.approx(0.1 / np.sqrt(n), rel=1e-12)
+        # meter observable is the number operator, stored as its diagonal
+        assert strat.B.diagonal
+        assert np.array_equal(strat.B.entries, np.arange(strat.meter_space.dim))
+
+
+def test_strategy_rejects_a_dense_meter_observable():
+    strat = strategy_uncorrelated(0.1)
+    # the number operator stored as a matrix, and a quadrature
+    for B in (Operator(strat.B.dim, strat.B.dense(), hermitian=True),
+              centered_quadrature(strat)):
+        with pytest.raises(ValueError, match="B must be diagonal"):
+            wva.WeakValueStrategy(strat.system_space, strat.psi_i, strat.psi_f, strat.A,
+                                  strat.meter_space, strat.phi_i, B, strat.g)
+        with pytest.raises(ValueError, match="B must be diagonal"):
+            dataclasses.replace(strat, B=B)
