@@ -6,36 +6,19 @@ circuits, Fisher-information accounting, and validation of the nonlinear
 dispersive model against the oscillating two-photon collective model.
 """
 
-from .boson import CutoffError, FockSpace, coherent_state, min_cutoff, op_annihilate, op_create, op_number
-from .dynamics import (
-    EvolutionTrace,
-    TwoPhotonTCParams,
-    effective_model_fidelity,
-    evolve_effective,
-    evolve_full,
-    hamiltonian_full,
-)
+from .boson import CutoffError, FockSpace, coherent_state, min_cutoff, op_annihilate, op_number
+from .dynamics import EvolutionTrace, TwoPhotonTCParams, effective_model_fidelity
 from .experiments import FitResult, ScalingRecord, fit_loglog, sweep
-from .fisher import (
-    FisherReport,
-    postselected_fisher_ratio,
-    qfi_nonlinear_coherent,
-    qfi_product,
-    qfi_pure_generator,
-)
+from .fisher import FisherReport, postselected_fisher_ratio, qfi_nonlinear_coherent, qfi_product
 from .linalg import (
     NullPostselectionError,
     Operator,
     Projection,
     StateVector,
-    eig_hermitian,
     expectation,
-    expm_i,
     fidelity,
     inner,
-    project,
     project_left,
-    tensor,
 )
 from .spin import SpinSpace, collective_op, dicke_state, nonlinear_observable, superpose_dicke, variance
 from .wva import (

@@ -94,14 +94,6 @@ class FockSpace:
     def dim(self) -> int:
         return self.cutoff + 1
 
-    @classmethod
-    def for_coherent(cls, eta: complex, tail_tolerance: float = 1e-12,
-                     headroom: int = 0) -> "FockSpace":
-        """Auto-sized space for a coherent amplitude, with optional headroom
-        levels for processes that climb the ladder."""
-        return cls(cutoff=max(min_cutoff(eta, tail_tolerance) + headroom, 1),
-                   tail_tolerance=tail_tolerance)
-
 
 def coherent_state(space, eta: complex):
     """Truncated coherent state, renormalized after truncation. A non-finite
@@ -146,6 +138,3 @@ def op_annihilate(space):
         mat[n - 1, n] = sqrt(n)
     return Operator(space.dim, mat, hermitian=False)
 
-
-def op_create(space):
-    return op_annihilate(space).dagger()

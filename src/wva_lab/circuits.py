@@ -61,26 +61,6 @@ class ReferenceState:
 
 
 @dataclass(frozen=True)
-class CircuitRegisterState:
-    """Amplitude vector over ancilla (x) reg1 (x) reg2, ancilla most significant."""
-
-    two_j: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        # ancilla qubit + two registers of two_j qubits each
-        dim = 2 ** (2 * self.two_j + 1)
-        arr = np.asarray(self.amplitudes, dtype=complex)
-        if arr.shape != (dim,):
-            raise ValueError(f"expected {dim} amplitudes for two_j = {self.two_j}")
-        if abs(np.linalg.norm(arr) - 1.0) > 1e-10:
-            raise ValueError("register state must be normalized")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
-
-
-@dataclass(frozen=True)
 class PrepCircuitResult:
     output_system: StateVector
     success_prob: float
@@ -112,7 +92,7 @@ def _check_levels(m1: float, m2: float):
 
 def check_ancilla(alpha: complex, beta: complex):
     """Reject control-ancilla coefficients alpha|0> + beta|1> off the unit sphere."""
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
+    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError("|alpha|^2 + |beta|^2 must be 1")
 
 
@@ -165,15 +145,6 @@ def reference_state(two_j: int, kind: str, m1: float | None = None,
 def reference_overlap(zeta: ReferenceState, m: float) -> complex:
     """<j,m|zeta> with the embedded (normalized) Dicke state."""
     return complex(np.vdot(embed_dicke(zeta.two_j, m).amplitudes, zeta.vector.amplitudes))
-
-
-def control_swap(state: CircuitRegisterState) -> CircuitRegisterState:
-    """Swap registers 1 and 2 on the ancilla-|1> component. Unitary, involutive."""
-    d = 2**state.two_j
-    block = state.amplitudes.reshape(2, d, d)
-    out = block.copy()
-    out[1] = block[1].T
-    return CircuitRegisterState(two_j=state.two_j, amplitudes=out.reshape(-1))
 
 
 def _circuit_levels(two_j: int, m1: float, m2: float, zeta: ReferenceState):

@@ -7,14 +7,13 @@ usage error.
 
 Every number printed comes from a library call; the CLI only formats
 (12 significant digits, scientific below 1e-4). Identical configurations
-produce byte-identical output. WVA_LAB_THREADS caps sweep parallelism.
+produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -191,14 +190,12 @@ def cmd_scaling(cfg: RunConfig) -> int:
         if not sizes:
             raise ConfigError(f"{fam.name} requires integer j: no even two-j "
                               "values in the requested range")
-    max_workers = max(int(os.environ.get("WVA_LAB_THREADS", "1")), 1)
     records = experiments.sweep(
         fam.name, sizes, parameter,
         g=float(cfg.get("g", DEFAULT_G)),
         eta=complex(cfg.get("eta", DEFAULT_ETA)),
         baseline_theta=float(cfg.get("baseline_theta", BASELINE_THETA)),
         with_circuits=not _switch(cfg, "no_circuits"),
-        max_workers=max_workers,
     )
     fits = {}
     if len(records) >= 4:

@@ -22,10 +22,12 @@ conserved charge 2Jz + n (see `_frame_propagator`). The solver, the
 fidelity scan and the diagnostics read the model from vectors
 (`_model_vectors`): m, the superdiagonal of J+, the one nonzero diagonal of
 a^2 and the charge, with the element formulas of the dense operators, so no
-ladder matrix or `Operator` is built for them. Only `hamiltonian_full`
-builds a dim x dim matrix, for the tests and oracles; the independent check
-that H(t) conserves 2Jz + n (`conservation_residual`) forms only its nonzero
-elements, against the charge of `conserved_charge`.
+ladder matrix or `Operator` is built for them. Only `_ladder_parts` builds
+dim x dim matrices, for the test oracles and the recorded benchmark
+references; the independent check that H(t) conserves 2Jz + n
+(`conservation_residual`) forms only its nonzero elements, against the
+charge of `conserved_charge`. `effective_model_fidelity` is the one
+evolution entry point: its trace holds both models' states.
 """
 
 from __future__ import annotations
@@ -99,15 +101,14 @@ class TwoPhotonTCParams:
 
 @dataclass(frozen=True)
 class EvolutionTrace:
-    """An evolution at its stored times. `full_states` and `effective_states`
-    are read-only (len(times), dim) complex arrays, one state per row (None
-    where the evolution did not form them); `fidelities` holds
-    |<full|effective>|^2 at the stored times."""
+    """Both models at the stored times. `full_states` and `effective_states`
+    are read-only (len(times), dim) complex arrays, one state per row;
+    `fidelities` holds |<full|effective>|^2 at the stored times."""
 
     times: np.ndarray
-    full_states: np.ndarray | None
-    effective_states: np.ndarray | None
-    fidelities: np.ndarray | None
+    full_states: np.ndarray
+    effective_states: np.ndarray
+    fidelities: np.ndarray
     max_norm_drift: float
 
 
@@ -157,14 +158,6 @@ def _ladder_parts(params: TwoPhotonTCParams):
     a = op_annihilate(FockSpace(params.fock_cutoff)).entries
     h_plus = params.g0 * np.kron(jp, a @ a)
     return h_plus, h_plus.conj().T, effective_generator_diag(params)
-
-
-def hamiltonian_full(params: TwoPhotonTCParams, t: float) -> Operator:
-    """g0 (J+ a^2 e^{i d t} + h.c.) at time t; Hermitian for every t."""
-    h_plus, h_minus, _ = _ladder_parts(params)
-    phase = np.exp(1j * params.delta_minus * t)
-    return Operator(params.joint_dim, phase * h_plus + np.conj(phase) * h_minus,
-                    hermitian=True)
 
 
 def conserved_charge(params: TwoPhotonTCParams) -> Operator:
@@ -265,19 +258,6 @@ def _full_states(frame, times):
     return amps, float(np.max(np.abs(norms - 1.0)))
 
 
-def evolve_full(params: TwoPhotonTCParams, psi0: StateVector,
-                store_every: int = 1) -> EvolutionTrace:
-    """Exact evolution of the oscillating model (one stacked Hermitian
-    eigensolve per charge-block size of the rotating-frame generator, with
-    no dim x dim matrix), stored every `store_every` grid points as the rows
-    of `full_states`."""
-    _, dt, stored = time_grid(params, store_every)
-    times = stored * dt
-    states, drift = _full_states(_frame_propagator(params, psi0), times)
-    return EvolutionTrace(times=times, full_states=states, effective_states=None,
-                          fidelities=None, max_norm_drift=drift)
-
-
 def effective_generator_diag(params: TwoPhotonTCParams,
                              include_commutator_terms: bool = False) -> np.ndarray:
     """Diagonal of the effective generator on the joint space.
@@ -304,28 +284,6 @@ def effective_generator_diag(params: TwoPhotonTCParams,
     else:
         diag = params.g_dispersive * np.outer(a_diag, n)
     return diag.ravel()
-
-
-def effective_phases(params: TwoPhotonTCParams, t: float,
-                     include_commutator_terms: bool = False) -> np.ndarray:
-    """Diagonal phase factors exp(-i H_eff t) of the effective model."""
-    return np.exp(-1j * effective_generator_diag(params, include_commutator_terms) * t)
-
-
-def evolve_effective(params: TwoPhotonTCParams, psi0: StateVector,
-                     store_every: int = 1,
-                     include_commutator_terms: bool = False) -> EvolutionTrace:
-    """Exact diagonal evolution under the effective nonlinear model, stored
-    every `store_every` grid points as the rows of `effective_states`, each
-    within NORM_TOL of unit norm."""
-    if psi0.dim != params.joint_dim:
-        raise ValueError("psi0 must live on the joint space")
-    _, dt, stored = time_grid(params, store_every)
-    times = stored * dt
-    gen = effective_generator_diag(params, include_commutator_terms)
-    return EvolutionTrace(times=times, full_states=None,
-                          effective_states=_effective_states(gen, psi0, times),
-                          fidelities=None, max_norm_drift=0.0)
 
 
 def _effective_states(gen, psi0: StateVector, times):
@@ -414,8 +372,6 @@ def effective_model_fidelity(params: TwoPhotonTCParams, psi0: StateVector,
 
 def charge_drift(params: TwoPhotonTCParams, trace: EvolutionTrace) -> float:
     """Max drift of <2 Jz + n> along the stored full trajectory."""
-    if trace.full_states is None:
-        raise ValueError("trace has no full states")
     full = trace.full_states
     q = _model_vectors(params).charge
     # one stacked (1 x dim) @ (dim x 1) product per row: the same BLAS dot

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -34,13 +33,6 @@ class FisherReport:
     ratio: float
     ratio_prediction: float
     small_eta_prediction: float
-
-
-def qfi_pure_generator(H: Operator, psi: StateVector) -> float:
-    """QFI of the family exp(-i g H)|psi>: 4 Var(H)."""
-    if not H.hermitian:
-        raise ValueError("generator must be Hermitian")
-    return 4.0 * variance(H, psi)
 
 
 def qfi_product(A: Operator, psi: StateVector, B: Operator, phi: StateVector) -> float:
@@ -68,26 +60,6 @@ def qfi_nonlinear_coherent(two_j: int, eta: complex) -> tuple[float, float]:
                    - 0.25 * (j**4 + 4 * j**3 + 4 * j**2) * ae**2)
     approx = 2.0 * j**4 * ae
     return exact, approx
-
-
-def qfi_from_family(family: Callable[[float], StateVector], g: float, step: float,
-                    richardson: bool = True) -> float:
-    """Pure-state QFI of a normalized state family by central differences,
-    optionally Richardson-extrapolated once (step and step/2): the oracle the
-    exact QFIs are tested against."""
-
-    def estimate(h: float) -> float:
-        fp = family(g + h).amplitudes
-        fm = family(g - h).amplitudes
-        f0 = family(g).amplitudes
-        d = (fp - fm) / (2.0 * h)
-        return 4.0 * (float(np.real(np.vdot(d, d))) - abs(np.vdot(d, f0)) ** 2)
-
-    if not richardson:
-        return estimate(step)
-    coarse = estimate(step)
-    fine = estimate(step / 2.0)
-    return (4.0 * fine - coarse) / 3.0
 
 
 def postselected_fisher_ratio(strategy: WeakValueStrategy) -> FisherReport:

@@ -1,15 +1,15 @@
 """Complex linear-algebra substrate: state vectors, Hermitian operators,
-tensor products, eigendecomposition, matrix exponentials, projections.
+inner products, expectations and the projection of a bipartite state's left
+factor.
 
 All objects are immutable after construction (arrays are frozen), so values
 can be shared freely across threads. Every operation is a pure function.
 An operator is stored in one of two forms, chosen here: a diagonal operator
 as its length-dim diagonal, every other operator as its dense dim x dim
-matrix. `apply`, `expectation`, `tensor` and `expm_i` work elementwise on a
-diagonal, so no dim x dim array exists for it; `Operator.dense()` builds the
-matrix where one is really needed (dense products, eigendecomposition, test
-oracles). Elsewhere, `entries` is read as the diagonal only where `diagonal`
-is set.
+matrix. `apply` and `expectation` work elementwise on a diagonal, so no
+dim x dim array exists for it; `Operator.dense()` builds the matrix where one
+is really needed (dense products, eigendecomposition, test oracles).
+Elsewhere, `entries` is read as the diagonal only where `diagonal` is set.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
-#: Largest joint dimension `tensor` will produce unless overridden.
+#: Largest joint (system x meter) dimension `wva.evolved_joint` will form.
 DEFAULT_MAX_TENSOR_DIM = 2**22
 
 
@@ -57,7 +57,7 @@ class StateVector:
             raise ValueError(f"amplitudes must be a length-{self.dim} vector")
         if self.normalized:
             nrm = np.linalg.norm(amps)
-            if abs(nrm - 1.0) > NORM_TOL:
+            if not abs(nrm - 1.0) <= NORM_TOL:  # a NaN norm fails too
                 raise ValueError(f"state not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -116,29 +116,16 @@ class Operator:
         object.__setattr__(self, "entries", arr)
 
     @classmethod
-    def from_matrix(cls, values, hermitian: bool = False) -> "Operator":
-        arr = np.asarray(values, dtype=complex)
-        return cls(dim=arr.shape[0], entries=arr, hermitian=hermitian)
-
-    @classmethod
     def from_diagonal(cls, diag_values) -> "Operator":
         d = np.asarray(diag_values, dtype=complex)
         herm = bool(np.max(np.abs(d.imag), initial=0.0) <= HERMITICITY_TOL)
         return cls(dim=d.shape[0], entries=d, hermitian=herm, diagonal=True)
-
-    @classmethod
-    def identity(cls, dim: int) -> "Operator":
-        return cls(dim=dim, entries=np.ones(dim, dtype=complex), hermitian=True, diagonal=True)
 
     def dense(self) -> np.ndarray:
         """The read-only dim x dim matrix, built on demand for a diagonal operator."""
         if not self.diagonal:
             return self.entries
         return _frozen_array(np.diag(self.entries))
-
-    def dagger(self) -> "Operator":
-        conj = self.entries.conj() if self.diagonal else self.entries.conj().T
-        return Operator(self.dim, conj, self.hermitian, self.diagonal)
 
 
 class Projection(NamedTuple):
@@ -170,64 +157,6 @@ def expectation(op: Operator, state: StateVector) -> complex:
     if op.diagonal:
         return complex(np.sum(np.abs(amps) ** 2 * op.entries))
     return complex(np.vdot(amps, op.entries @ amps))
-
-
-def tensor(a, b, max_dim: int = DEFAULT_MAX_TENSOR_DIM):
-    """Kronecker product of two StateVectors or two Operators."""
-    joint = a.dim * b.dim
-    if joint > max_dim:
-        raise ValueError(f"joint dimension {joint} exceeds the configured maximum {max_dim}")
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(
-            dim=joint,
-            amplitudes=np.kron(a.amplitudes, b.amplitudes),
-            normalized=a.normalized and b.normalized,
-        )
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        diagonal = a.diagonal and b.diagonal
-        return Operator(
-            dim=joint,
-            entries=np.kron(a.entries, b.entries) if diagonal else np.kron(a.dense(), b.dense()),
-            hermitian=a.hermitian and b.hermitian,
-            diagonal=diagonal,
-        )
-    raise TypeError("tensor needs two StateVectors or two Operators")
-
-
-def eig_hermitian(op: Operator):
-    """Eigenvalues (ascending) and unitary eigenvector matrix of a Hermitian operator."""
-    if not op.hermitian:
-        raise ValueError("eig_hermitian requires a Hermitian operator")
-    evals, evecs = np.linalg.eigh(op.dense())
-    return evals, evecs
-
-
-def expm_i(op: Operator, s: float) -> Operator:
-    """exp(-i * s * op) for Hermitian op; elementwise phases on the diagonal fast path."""
-    if not op.hermitian:
-        raise ValueError("expm_i requires a Hermitian operator")
-    if op.diagonal:
-        return Operator(op.dim, np.exp(-1j * s * op.entries.real), hermitian=False, diagonal=True)
-    evals, evecs = np.linalg.eigh(op.entries)
-    mat = (evecs * np.exp(-1j * s * evals)) @ evecs.conj().T
-    return Operator(op.dim, mat, hermitian=False)
-
-
-def project(state: StateVector, direction: StateVector) -> Projection:
-    """Projective measurement of `state` onto `direction`.
-
-    The collapsed state is `direction` itself; the overlap (whose phase the
-    caller may need) is returned explicitly rather than folded into the state.
-    """
-    if state.dim != direction.dim:
-        raise ValueError("dimension mismatch in project")
-    ov = inner(direction, state)
-    prob = abs(ov) ** 2
-    if prob < 1e-300:
-        raise NullPostselectionError("null postselection: overlap underflow", ov)
-    if prob > 1.0 + 1e-12:
-        raise ValueError(f"projection probability {prob} above 1")
-    return Projection(probability=min(prob, 1.0), collapsed=direction, overlap=ov)
 
 
 def project_left(joint: StateVector, direction: StateVector, right_dim: int) -> Projection:

@@ -65,6 +65,8 @@ def superpose_dicke(space: SpinSpace, terms) -> StateVector:
     for m, coeff in terms:
         amps[space.index_of(m)] += coeff
     nrm = np.linalg.norm(amps)
+    if not np.isfinite(nrm):
+        raise ValueError(f"superposition coefficients must be finite, got {terms}")
     if nrm == 0.0:
         raise ValueError("superposition coefficients sum to the zero vector")
     return StateVector(dim=space.dim, amplitudes=amps / nrm)

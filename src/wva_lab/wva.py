@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boson import FockSpace, coherent_state, op_annihilate, op_number
+from .boson import FockSpace, coherent_state, min_cutoff, op_annihilate, op_number
 from .linalg import (
     DEFAULT_MAX_TENSOR_DIM,
     NullPostselectionError,
@@ -76,6 +76,8 @@ class WeakValueStrategy:
             raise ValueError("A and B must be Hermitian")
         if not self.B.diagonal:
             raise ValueError("B must be diagonal in the meter's Fock basis")
+        if not np.isfinite(self.g):
+            raise ValueError(f"g must be finite, got {self.g}")
         object.__setattr__(self, "initial_overlap", inner(self.psi_f, self.psi_i))
 
     def weak_value(self) -> complex:
@@ -125,7 +127,7 @@ def collective_success(single_ps: float, two_j: int) -> CollectiveSuccess:
 
 def sigma_advantage(p_collective: float, two_j: int, p_single: float) -> float:
     """sigma = P_collective / (2j * P_single)."""
-    if p_single <= 0.0:
+    if not p_single > 0.0:  # a NaN baseline fails too
         raise ValueError("sigma_advantage needs a positive single-probe baseline")
     return p_collective / (two_j * p_single)
 
@@ -185,7 +187,7 @@ def _default_meter(eta: complex):
 @lru_cache(maxsize=64, typed=True)
 def _meter(eta: complex, *_zero_signs: float):
     """`typed=True` keeps e.g. 0.1 and 0.1+0j apart."""
-    space = FockSpace.for_coherent(eta, headroom=METER_HEADROOM)
+    space = FockSpace(min_cutoff(eta, 1e-12) + METER_HEADROOM)
     return space, coherent_state(space, eta), op_number(space)
 
 

@@ -1,13 +1,22 @@
-"""The dense frame propagator, one `eigh` of K + d Jz on the whole joint
-space: the reference that the per-charge-block solver of
-`wva_lab.dynamics._frame_propagator` and its fidelity scan over same-block
-pairs are checked against.
+"""The dense Hamiltonian and frame propagator, one `eigh` of K + d Jz on
+the whole joint space: the reference that the per-charge-block solver of
+`wva_lab.dynamics._frame_propagator`, its fidelity scan over same-block
+pairs and the sparse conservation check are checked against.
 """
 
 import numpy as np
 
 from wva_lab.dynamics import _ladder_parts, effective_generator_diag, time_grid
+from wva_lab.linalg import Operator
 from wva_lab.spin import SpinSpace
+
+
+def hamiltonian_full(params, t):
+    """g0 (J+ a^2 e^{i d t} + h.c.) at time t; Hermitian for every t."""
+    h_plus, h_minus, _ = _ladder_parts(params)
+    phase = np.exp(1j * params.delta_minus * t)
+    return Operator(params.joint_dim, phase * h_plus + np.conj(phase) * h_minus,
+                    hermitian=True)
 
 
 def dense_evolve(params, psi0):

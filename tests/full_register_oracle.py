@@ -8,18 +8,43 @@ Dicke states are embedded by a loop over every register index, so the
 vectorized `circuits.embed_dicke` is checked along the way.
 """
 
+from dataclasses import dataclass
 from math import comb, sqrt
 
 import numpy as np
 
-from wva_lab.circuits import (
-    CircuitRegisterState,
-    MeasureCircuitResult,
-    PrepCircuitResult,
-    control_swap,
-)
+from wva_lab.circuits import MeasureCircuitResult, PrepCircuitResult
 from wva_lab.linalg import StateVector
 from wva_lab.spin import SpinSpace
+
+
+@dataclass(frozen=True)
+class CircuitRegisterState:
+    """Amplitude vector over ancilla (x) reg1 (x) reg2, ancilla most significant."""
+
+    two_j: int
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        # ancilla qubit + two registers of two_j qubits each
+        dim = 2 ** (2 * self.two_j + 1)
+        arr = np.asarray(self.amplitudes, dtype=complex)
+        if arr.shape != (dim,):
+            raise ValueError(f"expected {dim} amplitudes for two_j = {self.two_j}")
+        if abs(np.linalg.norm(arr) - 1.0) > 1e-10:
+            raise ValueError("register state must be normalized")
+        arr = arr.copy()
+        arr.setflags(write=False)
+        object.__setattr__(self, "amplitudes", arr)
+
+
+def control_swap(state: CircuitRegisterState) -> CircuitRegisterState:
+    """Swap registers 1 and 2 on the ancilla-|1> component. Unitary, involutive."""
+    d = 2**state.two_j
+    block = state.amplitudes.reshape(2, d, d)
+    out = block.copy()
+    out[1] = block[1].T
+    return CircuitRegisterState(two_j=state.two_j, amplitudes=out.reshape(-1))
 
 
 def embed_dicke_loop(two_j, m):

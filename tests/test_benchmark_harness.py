@@ -1,0 +1,51 @@
+"""The benchmark harness under perfbench/ still accepts the tree.
+
+Every workload's tasks run once, traced as `perfbench/run.py --trace 1`
+traces them, and are checked the way the benchmark checks them: the scaling
+passes against results/, the dispersive cases against
+perfbench/reference/dispersive.json, and the CLI calls (in process) against
+the recorded stdout and exit codes. A moved output byte fails here instead
+of as an incorrect benchmark run. Nothing under perfbench/ is written.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+HARNESS = """
+import os, sys
+from pathlib import Path
+
+root = Path(sys.argv[1])
+sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+import workloads, tracing, record_reference  # noqa: E401,F401
+
+workloads.check_import_source(root)
+tracing.Tracer().install(extra_namespaces=[workloads])
+problems = []
+for name in ("scaling-small", "scaling-large", "dispersive-validation"):
+    wl = workloads.build(name, root, dict(os.environ))
+    outputs = {}
+    for task in wl.tasks:
+        outputs[task] = wl.run(task)
+        problems += wl.check(task, outputs[task])
+    for bad in wl.check_pass(wl.finish(outputs)).values():
+        problems += bad
+cli = workloads.build("cli-cold", root, dict(os.environ))
+assert len(cli.tasks) == 8
+for task in cli.tasks:
+    problems += cli.check(task, cli.run_in_process(task))
+print("\\n".join(problems) or "ok")
+"""
+
+
+def test_benchmark_workloads_accept_the_tree():
+    # a fresh interpreter: the tracer rebinds the package's functions
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", HARNESS, str(ROOT)], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ok\n"

@@ -12,7 +12,6 @@ from wva_lab.boson import (
     coherent_state,
     min_cutoff,
     op_annihilate,
-    op_create,
     op_number,
     poisson_tail,
 )
@@ -41,7 +40,7 @@ def _coherent_without_rescale(space, eta):
 @pytest.mark.parametrize("eta", [0.0, 0.1, 0.3 + 0.4j, 1.0, 3.0, -5j, 10.0, 14 - 14j, 20.0, 26.0])
 def test_coherent_state_keeps_its_bits_below_the_rescale(eta):
     # |eta| = 26 peaks near e^338 < 2^500, so no amplitude is rescaled
-    space = FockSpace.for_coherent(eta)
+    space = FockSpace(max(min_cutoff(eta, 1e-12), 1))
     assert (coherent_state(space, eta).amplitudes.tobytes()
             == _coherent_without_rescale(space, eta).amplitudes.tobytes())
 
@@ -49,7 +48,7 @@ def test_coherent_state_keeps_its_bits_below_the_rescale(eta):
 @pytest.mark.parametrize("eta", [26.7, 30.0, 38.0, 40.0, 60.0, 90.0, 30j])
 def test_large_coherent_state_has_poisson_moments(eta):
     # the unrescaled recurrence overflows here (e^{|eta|^2 / 2} at the peak)
-    space = FockSpace.for_coherent(eta)
+    space = FockSpace(min_cutoff(eta, 1e-12))
     w = np.abs(coherent_state(space, eta).amplitudes) ** 2
     n = np.arange(space.dim)
     lam = abs(eta) ** 2
@@ -73,7 +72,7 @@ def test_coherent_moments_closed_form():
 
 @pytest.mark.parametrize("eta", [0.05, 0.1, 0.3, 0.8])
 def test_moments_when_tail_negligible(eta):
-    sp = FockSpace.for_coherent(eta, tail_tolerance=1e-12)
+    sp = FockSpace(min_cutoff(eta, 1e-12))
     st = coherent_state(sp, eta)
     n = np.arange(sp.dim)
     w = np.abs(st.amplitudes) ** 2
@@ -91,29 +90,24 @@ def test_tail_error_suggests_cutoff():
     coherent_state(ok, 1.5)  # no raise
 
 
-def test_for_coherent_headroom():
-    base = FockSpace.for_coherent(0.1)
-    padded = FockSpace.for_coherent(0.1, headroom=8)
-    assert padded.cutoff == base.cutoff + 8
-
-
 def test_ladder_arithmetic():
     sp = FockSpace(6)
-    a = op_annihilate(sp)
-    ad = op_create(sp)
+    a = op_annihilate(sp).entries
+    ad = a.conj().T
     vac = np.eye(7)[0]
-    np.testing.assert_allclose(a.entries @ vac, 0 * vac)
-    two = ad.entries @ ad.entries @ vac
+    np.testing.assert_allclose(a @ vac, 0 * vac)
+    two = ad @ ad @ vac
     expect = np.zeros(7)
     expect[2] = np.sqrt(2)
     np.testing.assert_allclose(two, expect, atol=1e-15)
     # a^dag a = n exactly on the truncated space
-    np.testing.assert_allclose(ad.entries @ a.entries, op_number(sp).dense(), atol=1e-12)
+    np.testing.assert_allclose(ad @ a, op_number(sp).dense(), atol=1e-12)
 
 
 def test_commutator_truncation_artifact():
     sp = FockSpace(5)
-    a, ad = op_annihilate(sp).entries, op_create(sp).entries
+    a = op_annihilate(sp).entries
+    ad = a.conj().T
     comm = a @ ad - ad @ a
     expect = np.eye(6)
     expect[5, 5] = -5.0  # last level: a^dag leaves the truncated space
@@ -227,8 +221,7 @@ def test_coherent_amplitude_must_have_a_finite_mean(eta):
     # nan gave a NaN state, and 1e300 died in abs(eta) ** 2 with an
     # OverflowError (a RuntimeWarning for a NumPy scalar)
     for call in (lambda: coherent_state(FockSpace(4, tail_tolerance=1e-6), eta),
-                 lambda: min_cutoff(eta, 1e-6),
-                 lambda: FockSpace.for_coherent(eta)):
+                 lambda: min_cutoff(eta, 1e-6)):
         with pytest.raises(ValueError, match="must be finite with a finite \\|eta\\|\\^2"):
             call()
 
@@ -238,8 +231,8 @@ def test_coherent_amplitude_must_have_a_finite_mean(eta):
     ("min_cutoff(-inf, 1e-6)", "must be finite with a finite |eta|^2"),
     ("coherent_state(FockSpace(4, tail_tolerance=1e-6), inf)",
      "must be finite with a finite |eta|^2"),
-    ("FockSpace.for_coherent(complex(0.0, inf))", "must be finite with a finite |eta|^2"),
-], ids=["poisson_tail", "min_cutoff", "coherent_state", "for_coherent"])
+    ("min_cutoff(complex(0.0, inf), 1e-12)", "must be finite with a finite |eta|^2"),
+], ids=["poisson_tail", "min_cutoff", "coherent_state", "min_cutoff-imaginary"])
 def test_an_infinite_mean_raises_instead_of_hanging(call, message):
     # an infinite mean used to spin forever in `while k <= mean`, so each
     # call runs in a fresh process with a timeout: a hang fails the test

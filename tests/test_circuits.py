@@ -15,7 +15,13 @@ from wva_lab.spin import SpinSpace
 from wva_lab.wva import evolved_joint, postselect, strategy_linear_optimal, strategy_nonlinear_joint
 
 from conftest import FAMILY_PARAMETERS
-from full_register_oracle import embed_dicke_loop, full_measure_circuit, full_prep_circuit
+from full_register_oracle import (
+    CircuitRegisterState,
+    control_swap,
+    embed_dicke_loop,
+    full_measure_circuit,
+    full_prep_circuit,
+)
 
 
 def test_embed_dicke_two_qubits():
@@ -48,11 +54,14 @@ def test_embed_register_cap():
         C.embed_dicke(12, 0)
 
 
+# ------------------------------------- the full-register oracle's machinery
+
+
 def test_register_state_validation():
     with pytest.raises(ValueError, match="normalized"):
-        C.CircuitRegisterState(two_j=1, amplitudes=np.full(8, 1.0))
+        CircuitRegisterState(two_j=1, amplitudes=np.full(8, 1.0))
     with pytest.raises(ValueError, match="amplitudes"):
-        C.CircuitRegisterState(two_j=1, amplitudes=np.zeros(4))
+        CircuitRegisterState(two_j=1, amplitudes=np.zeros(4))
 
 
 def test_control_swap_definition():
@@ -61,13 +70,13 @@ def test_control_swap_definition():
     anc1 = np.zeros(2)
     anc1[1] = 1.0
     amps = np.einsum("a,i,k->aik", anc1, x, y).ravel()
-    out = C.control_swap(C.CircuitRegisterState(two_j=2, amplitudes=amps))
+    out = control_swap(CircuitRegisterState(two_j=2, amplitudes=amps))
     expect = np.einsum("a,i,k->aik", anc1, y, x).ravel()
     np.testing.assert_allclose(out.amplitudes, expect)
     # ancilla |0> branch untouched
     anc0 = np.array([1.0, 0.0])
     amps0 = np.einsum("a,i,k->aik", anc0, x, y).ravel()
-    out0 = C.control_swap(C.CircuitRegisterState(two_j=2, amplitudes=amps0))
+    out0 = control_swap(CircuitRegisterState(two_j=2, amplitudes=amps0))
     np.testing.assert_allclose(out0.amplitudes, amps0)
 
 
@@ -78,10 +87,10 @@ def test_control_swap_involutive_and_unitary(seed, two_j):
     dim = 2 ** (2 * two_j + 1)
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     amps /= np.linalg.norm(amps)
-    state = C.CircuitRegisterState(two_j=two_j, amplitudes=amps)
-    once = C.control_swap(state)
+    state = CircuitRegisterState(two_j=two_j, amplitudes=amps)
+    once = control_swap(state)
     assert np.linalg.norm(once.amplitudes) == pytest.approx(1.0, abs=1e-12)
-    twice = C.control_swap(once)
+    twice = control_swap(once)
     assert np.max(np.abs(twice.amplitudes - amps)) < 1e-12
 
 

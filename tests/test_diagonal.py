@@ -10,11 +10,12 @@ import pytest
 from wva_lab.boson import FockSpace, op_number
 from wva_lab.dynamics import TwoPhotonTCParams, conserved_charge
 from wva_lab.experiments import FAMILIES
-from wva_lab.linalg import Operator, StateVector, apply, expectation, expm_i, tensor
+from wva_lab.linalg import Operator, StateVector, apply, expectation
 from wva_lab.spin import SpinSpace, collective_op, variance
 from wva_lab.wva import evolved_joint, strategy_near_deterministic, strategy_nonlinear_joint
 
 from conftest import FAMILY_PARAMETERS, random_hermitian, random_state
+from dense_operator_oracle import expm_i, tensor
 
 TOL = 1e-13
 
@@ -24,7 +25,8 @@ def _dynamics_params(two_j, cutoff):
                              fock_cutoff=cutoff, t_final=1.0, dt=0.1)
 
 
-#: name -> builder of every diagonal operator the package constructs.
+#: name -> builder of every diagonal operator the package constructs, and
+#: the identity (a kick that leaves the system alone).
 DIAGONAL_OPERATORS = {
     "jz_odd": lambda: collective_op(SpinSpace(7), "jz"),
     "jz": lambda: collective_op(SpinSpace(12), "jz"),
@@ -32,7 +34,7 @@ DIAGONAL_OPERATORS = {
     "nonlinear": lambda: collective_op(SpinSpace(12), "nonlinear"),
     "op_number": lambda: op_number(FockSpace(9)),
     "conserved_charge": lambda: conserved_charge(_dynamics_params(4, 5)),
-    "identity": lambda: Operator.identity(11),
+    "identity": lambda: Operator.from_diagonal(np.ones(11)),
 }
 
 
@@ -94,12 +96,6 @@ def test_tensor_matches_dense_kron(diag_op, rng):
         _close(mixed.entries, np.kron(a.dense(), b.dense()))
 
 
-def test_dagger_conjugates_the_diagonal():
-    op = Operator(3, np.array([1.0 + 2j, -1j, 4.0]), diagonal=True)
-    assert not op.hermitian
-    np.testing.assert_array_equal(op.dagger().dense(), op.dense().conj().T)
-
-
 def test_diagonal_form_is_enforced():
     with pytest.raises(ValueError, match="shape"):
         Operator(2, np.eye(2), hermitian=True, diagonal=True)
@@ -114,7 +110,8 @@ def test_evolved_joint_matches_dense_propagator(kind):
     # psi_i (x) phi_i, with A each diagonal spin operator and B = n
     base = strategy_nonlinear_joint(8, 1e-3, g=3e-3, eta=0.4)
     space = base.system_space
-    A = Operator.identity(space.dim) if kind == "identity" else collective_op(space, kind)
+    A = Operator.from_diagonal(np.ones(space.dim)) if kind == "identity" \
+        else collective_op(space, kind)
     strat = dataclasses.replace(base, A=A)
     joint = StateVector.unnormalized(np.kron(strat.psi_i.amplitudes, strat.phi_i.amplitudes))
     generator = np.kron(A.dense(), strat.B.dense()).real

@@ -13,13 +13,10 @@ from wva_lab.dynamics import (
     charge_drift,
     conservation_residual,
     conserved_charge,
+    effective_generator_diag,
     effective_model_fidelity,
-    effective_phases,
-    evolve_effective,
-    evolve_full,
-    hamiltonian_full,
 )
-from wva_lab.linalg import Operator, StateVector, expm_i, fidelity, tensor
+from wva_lab.linalg import Operator, StateVector, fidelity
 from wva_lab.spin import SpinSpace, collective_op, dicke_state, nonlinear_observable
 from wva_lab.boson import op_number
 
@@ -30,7 +27,8 @@ from chunked_scan_oracle import (
     statevector_effective_states,
     statevector_full_states,
 )
-from dense_frame_oracle import dense_evolve, dense_fidelities
+from dense_frame_oracle import dense_evolve, dense_fidelities, hamiltonian_full
+from dense_operator_oracle import expm_i, tensor
 from rk4_oracle import rk4_derivative, rk4_evolve
 
 
@@ -48,6 +46,12 @@ def joint_state(params, m, meter_amps):
     meter = meter / np.linalg.norm(meter)
     return StateVector(space.dim * (params.fock_cutoff + 1),
                        np.kron(sys0.amplitudes, meter))
+
+
+def trace_of(params, psi0, store_every=1, commutator=False):
+    """The trace of both models, stored every `store_every` grid points."""
+    return effective_model_fidelity(params, psi0, store_every=store_every,
+                                    include_commutator_terms=commutator)[1]
 
 
 def basis_meter(params, n):
@@ -163,7 +167,7 @@ def test_conservation_residual_builds_no_dense_hamiltonian():
 def test_zero_coupling_is_stationary():
     p = make_params(g0=0.0, t_final=5.0)
     psi0 = joint_state(p, 0, basis_meter(p, 2))
-    trace = evolve_full(p, psi0)
+    trace = trace_of(p, psi0)
     assert fidelity(StateVector.of(trace.full_states[-1]), psi0) \
         == pytest.approx(1.0, abs=1e-12)
 
@@ -187,7 +191,7 @@ def test_lowest_state_vacuum_exactly_stationary():
     # both ladder terms annihilate |j,-j> (x) |0>: no dynamics at all
     p = make_params(two_j=2, t_final=6.0)
     psi0 = joint_state(p, -1, basis_meter(p, 0))
-    trace = evolve_full(p, psi0)
+    trace = trace_of(p, psi0)
     final = trace.full_states[-1]
     assert np.max(np.abs(final - psi0.amplitudes)) < 1e-12
 
@@ -197,7 +201,7 @@ def test_highest_state_vacuum_leakage_matches_perturbation():
     # caps the population at 4 V^2/delta^2 with V = g0 sqrt(2j) sqrt(2)
     p = make_params(two_j=2, g0=0.02, t_final=40.0, fock_cutoff=4)
     psi0 = joint_state(p, 1, basis_meter(p, 0))
-    trace = evolve_full(p, psi0)
+    trace = trace_of(p, psi0)
     pops = [1.0 - abs(np.vdot(psi0.amplitudes, s)) ** 2
             for s in trace.full_states]
     max_leak = max(pops)
@@ -219,7 +223,7 @@ def test_full_evolution_matches_two_level_closed_form():
     up0 = np.kron(dicke_state(sp, 0.5).amplitudes, np.eye(nm)[0])
     dn2 = np.kron(dicke_state(sp, -0.5).amplitudes, np.eye(nm)[2])
     psi0 = StateVector(2 * nm, up0)
-    trace = evolve_full(p, psi0, store_every=100)
+    trace = trace_of(p, psi0, store_every=100)
     v = p.g0 * np.sqrt(2.0)
     omega = np.sqrt(p.delta_minus**2 + 4 * v**2)
     for t, s in zip(trace.times, trace.full_states):
@@ -238,7 +242,7 @@ def test_exact_evolution_matches_rk4_oracle(two_j, cutoff):
     meter = np.sqrt([0.4, 0.3, 0.2, 0.1] + [0.0] * (cutoff - 3))
     psi0 = joint_state(p, 0, meter)
     times, states = rk4_evolve(p, psi0, store_every=50)
-    trace = evolve_full(p, psi0, store_every=50)
+    trace = trace_of(p, psi0, store_every=50)
     np.testing.assert_allclose(trace.times, times, rtol=0, atol=1e-12)
     dist = max(np.linalg.norm(s - v) for s, v in zip(trace.full_states, states))
     assert dist <= 1e-8
@@ -288,7 +292,7 @@ def test_eigenvectors_live_on_one_charge_block(rng, two_j, cutoff):
 def test_charge_drift_at_roundoff_on_a_large_register(rng):
     # the dense eigh leaks charge at ~2e-14 here; block eigenvectors cannot
     p, psi0 = block_oracle_case(rng, 12, 20)
-    trace = evolve_full(p, psi0, store_every=10)
+    trace = trace_of(p, psi0, store_every=10)
     assert charge_drift(p, trace) <= 1e-14
 
 
@@ -390,11 +394,6 @@ def test_trace_arrays_equal_the_old_statevectors(rng, name, commutator):
         np.array([s.amplitudes for s in old_eff]).tobytes()
     assert trace.max_norm_drift == drift
     assert charge_drift(p, trace) == loop_charge_drift(conserved_charge(p).entries.real, states)
-    full, effective = evolve_full(p, psi0, store_every), evolve_effective(p, psi0, store_every,
-                                                                          commutator)
-    assert full.full_states.tobytes() == trace.full_states.tobytes()
-    assert full.max_norm_drift == trace.max_norm_drift
-    assert effective.effective_states.tobytes() == trace.effective_states.tobytes()
 
 
 def old_generator_diag(p, commutator):
@@ -437,7 +436,6 @@ def test_model_calls_build_no_dense_ladder(monkeypatch, rng):
         spy_everywhere(monkeypatch, name, calls)
     _, trace = effective_model_fidelity(p, psi0, store_every=50)
     charge_drift(p, trace)
-    charge_drift(p, evolve_full(p, psi0, store_every=50))
     conservation_residual(p)
     assert calls == []
     hamiltonian_full(p, 0.1)  # the dense oracle still builds both
@@ -472,17 +470,18 @@ def test_stacked_charge_norms_equal_the_row_loop(rng, two_j, cutoff, rows):
     assert p.joint_dim % 2 == 1
     full = rng.normal(size=(rows, p.joint_dim)) + 1j * rng.normal(size=(rows, p.joint_dim))
     trace = EvolutionTrace(times=np.arange(rows, dtype=float), full_states=full,
-                           effective_states=None, fidelities=None, max_norm_drift=0.0)
+                           effective_states=full, fidelities=np.ones(rows), max_norm_drift=0.0)
     states = [StateVector.unnormalized(row) for row in full]
     assert charge_drift(p, trace) == loop_charge_drift(conserved_charge(p).entries.real, states)
 
 
 def test_effective_evolution_keeps_the_norm_check(rng):
-    # each effective state used to be a StateVector, which checked its norm
+    # each effective state used to be a StateVector, which checked its norm;
+    # a drift of 1e-11 passes the frame solver's 1e-10 but not NORM_TOL
     p = make_params()
     psi0 = random_state(rng, p.joint_dim)
     with pytest.raises(ValueError, match="state not normalized"):
-        evolve_effective(p, StateVector.unnormalized(1.001 * psi0.amplitudes))
+        effective_model_fidelity(p, StateVector.unnormalized((1 + 1e-11) * psi0.amplitudes))
 
 
 def test_rk4_derivative_consistent_with_hamiltonian(rng):
@@ -499,7 +498,7 @@ def test_rk4_derivative_consistent_with_hamiltonian(rng):
 def test_norm_drift_tracked():
     p = make_params(t_final=5.0)
     psi0 = joint_state(p, 0, basis_meter(p, 1))
-    trace = evolve_full(p, psi0)
+    trace = trace_of(p, psi0)
     assert trace.max_norm_drift < 1e-8
 
 
@@ -508,13 +507,16 @@ def test_norm_drift_tracked():
 
 def test_effective_identity_at_zero_time():
     p = make_params()
-    np.testing.assert_allclose(effective_phases(p, 0.0), 1.0)
+    psi0 = joint_state(p, 0, [0.6, 0.5, 0.4, 0.3, 0.2])
+    trace = trace_of(p, psi0)
+    assert trace.times[0] == 0.0
+    np.testing.assert_allclose(trace.effective_states[0], psi0.amplitudes)
 
 
 def test_effective_single_level_phase():
     p = make_params(two_j=2, t_final=3.0)
     psi0 = joint_state(p, 0, basis_meter(p, 1))
-    trace = evolve_effective(p, psi0)
+    trace = trace_of(p, psi0)
     j = 1.0
     phase = np.exp(-1j * p.g_dispersive * j * (j + 1) * 1 * trace.times[-1])
     np.testing.assert_allclose(trace.effective_states[-1],
@@ -530,13 +532,14 @@ def test_effective_phases_match_eig_expm():
     h = type(h)(h.dim, p.g_dispersive * h.entries, hermitian=True, diagonal=True)
     t = 1.73
     u = expm_i(h, t)
-    np.testing.assert_allclose(np.diag(u.dense()), effective_phases(p, t), atol=1e-12)
+    np.testing.assert_allclose(np.diag(u.dense()), np.exp(-1j * effective_generator_diag(p) * t),
+                               atol=1e-12)
 
 
 def test_effective_populations_conserved():
     p = make_params(t_final=7.0)
     psi0 = joint_state(p, 0, [0.5, 0.5, 0.5, 0.5, 0.0])
-    trace = evolve_effective(p, psi0)
+    trace = trace_of(p, psi0)
     for s in trace.effective_states:
         np.testing.assert_allclose(np.abs(s), np.abs(psi0.amplitudes),
                                    atol=1e-12)
@@ -548,7 +551,7 @@ def test_effective_populations_conserved():
 def test_charge_conserved_along_trajectory():
     p = make_params(two_j=2, g0=0.05, t_final=50.0)
     psi0 = joint_state(p, 0, basis_meter(p, 2))
-    trace = evolve_full(p, psi0, store_every=25)
+    trace = trace_of(p, psi0, store_every=25)
     assert charge_drift(p, trace) < 1e-8
 
 
@@ -632,6 +635,6 @@ def test_leading_generator_misses_jz_nonzero_states():
 
 def test_commutator_variant_differs_from_leading():
     p = make_params(two_j=2, fock_cutoff=3)
-    lead = effective_phases(p, 1.0, include_commutator_terms=False)
-    full = effective_phases(p, 1.0, include_commutator_terms=True)
+    lead = np.exp(-1j * effective_generator_diag(p, include_commutator_terms=False))
+    full = np.exp(-1j * effective_generator_diag(p, include_commutator_terms=True))
     assert np.max(np.abs(lead - full)) > 1e-6

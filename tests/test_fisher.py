@@ -3,16 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wva_lab.boson import FockSpace, coherent_state, op_number
-from wva_lab.fisher import (
-    postselected_fisher_ratio,
-    qfi_from_family,
-    qfi_nonlinear_coherent,
-    qfi_product,
-    qfi_pure_generator,
-)
-from wva_lab.linalg import Operator, StateVector, tensor
-from wva_lab.spin import SpinSpace, dicke_state, superpose_dicke, nonlinear_observable
+from wva_lab.boson import FockSpace, coherent_state, min_cutoff, op_number
+from wva_lab.fisher import postselected_fisher_ratio, qfi_nonlinear_coherent, qfi_product
+from wva_lab.linalg import Operator, StateVector
+from wva_lab.spin import SpinSpace, dicke_state, superpose_dicke, nonlinear_observable, variance
 from wva_lab.wva import (
     postselect,
     strategy_near_deterministic,
@@ -22,6 +16,13 @@ from wva_lab.wva import (
 )
 
 from conftest import nonlinear_ratio_limit, random_hermitian, random_state
+from dense_operator_oracle import tensor
+from finite_difference_oracle import qfi_from_family
+
+
+def generator_qfi(H, psi):
+    """QFI of the family exp(-i g H)|psi>: 4 Var(H)."""
+    return 4.0 * variance(H, psi)
 
 
 def _fd_qfi_oracle(H, psi, g=0.0, h=1e-6):
@@ -40,14 +41,14 @@ def _fd_qfi_oracle(H, psi, g=0.0, h=1e-6):
 def test_qfi_eigenstate_zero():
     sp = SpinSpace(6)
     a = nonlinear_observable(sp)
-    assert qfi_pure_generator(a, dicke_state(sp, 0)) == 0.0
+    assert generator_qfi(a, dicke_state(sp, 0)) == 0.0
 
 
 def test_qfi_product_formula(rng):
     for _ in range(5):
         A, B = random_hermitian(rng, 5), random_hermitian(rng, 4)
         u, v = random_state(rng, 5), random_state(rng, 4)
-        assembled = qfi_pure_generator(tensor(A, B), tensor(u, v))
+        assembled = generator_qfi(tensor(A, B), tensor(u, v))
         assert qfi_product(A, u, B, v) == pytest.approx(assembled, rel=1e-10)
 
 
@@ -55,7 +56,7 @@ def test_qfi_matches_finite_difference_oracle(rng):
     for dim in (6, 20, 50):
         H = random_hermitian(rng, dim)
         psi = random_state(rng, dim)
-        exact = qfi_pure_generator(H, psi)
+        exact = generator_qfi(H, psi)
         fd = _fd_qfi_oracle(H, psi)
         assert fd == pytest.approx(exact, rel=1e-6)
 
@@ -69,7 +70,7 @@ def test_qfi_from_family_matches_generator(rng):
         return StateVector.of((vecs * np.exp(-1j * g * evals)) @ (vecs.conj().T @ psi.amplitudes))
 
     got = qfi_from_family(family, 0.01, 1e-6)
-    assert got == pytest.approx(qfi_pure_generator(H, psi), rel=1e-8)
+    assert got == pytest.approx(generator_qfi(H, psi), rel=1e-8)
 
 
 def test_qfi_nonlinear_closed_form_zero_meter():
@@ -95,9 +96,9 @@ def test_qfi_nonlinear_matches_assembled_operator(two_j, eta):
     sp = SpinSpace(two_j)
     j = sp.j
     psi = superpose_dicke(sp, [(0, 1.0), (-j, 1.0)])
-    meter = FockSpace.for_coherent(eta, headroom=2)
+    meter = FockSpace(min_cutoff(eta, 1e-12) + 2)
     phi = coherent_state(meter, eta)
-    assembled = qfi_pure_generator(tensor(nonlinear_observable(sp), op_number(meter)),
+    assembled = generator_qfi(tensor(nonlinear_observable(sp), op_number(meter)),
                                    tensor(psi, phi))
     assert exact == pytest.approx(assembled, rel=1e-8)
 
@@ -186,9 +187,14 @@ def test_postselected_ratio_rejects_zero_total_qfi():
 
 
 def test_postselected_ratio_rejects_a_nan_total_qfi():
-    # a NaN meter passes `total <= 0`; the ratio would be NaN, not an error
+    # a NaN meter passes `total <= 0`; the ratio would be NaN, not an error.
+    # A normalized StateVector refuses a NaN norm, so the meter is built
+    # unnormalized to reach the Fisher check
     strat = strategy_nonlinear_joint(4, 1e-3, eta=0.1)
-    nan_meter = StateVector(strat.meter_space.dim, np.full(strat.meter_space.dim, np.nan))
+    nan_amps = np.full(strat.meter_space.dim, np.nan)
+    with pytest.raises(ValueError, match="state not normalized"):
+        StateVector(strat.meter_space.dim, nan_amps)
+    nan_meter = StateVector.unnormalized(nan_amps)
     with pytest.raises(ValueError, match="total QFI is 0"):
         postselected_fisher_ratio(dataclasses.replace(strat, phi_i=nan_meter))
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wva_lab.boson import op_number
-from wva_lab.linalg import NullPostselectionError, Operator, StateVector, expm_i, fidelity, inner, tensor
+from wva_lab.linalg import NullPostselectionError, Operator, StateVector, fidelity, inner
 from wva_lab.spin import SpinSpace, collective_op, dicke_state, nonlinear_observable, superpose_dicke, variance
 from wva_lab import wva
 from wva_lab.experiments import FAMILIES, sweep
@@ -32,6 +32,7 @@ from wva_lab.wva import (
 )
 
 from conftest import FAMILY_PARAMETERS, random_hermitian, random_state
+from dense_operator_oracle import expm_i, tensor
 
 
 # ---------------------------------------------------------------- weak value
@@ -131,6 +132,8 @@ def test_sigma_advantage_values():
         assert sigma_advantage(kappa * j**2, 2 * j, c) == pytest.approx(kappa * j / (2 * c))
     with pytest.raises(ValueError):
         sigma_advantage(0.5, 4, 0.0)
+    with pytest.raises(ValueError, match="positive single-probe baseline"):
+        sigma_advantage(0.5, 4, float("nan"))
 
 
 # ------------------------------------------------- postselection state algebra
@@ -443,6 +446,16 @@ def test_with_coupling_replaces_g():
     strat = strategy_uncorrelated(0.1, g=1e-4)
     assert with_coupling(strat, 5e-4).g == 5e-4
     assert strat.g == 1e-4
+
+
+@pytest.mark.parametrize("g", [np.nan, np.inf, -np.inf])
+def test_strategy_rejects_a_non_finite_coupling(g):
+    strat = strategy_nonlinear_joint(4, 1e-3)
+    for make in (lambda: strategy_nonlinear_joint(4, 1e-3, g=g),
+                 lambda: with_coupling(strat, g),
+                 lambda: dataclasses.replace(strat, g=g)):
+        with pytest.raises(ValueError, match="g must be finite"):
+            make()
 
 
 def test_postselect_diagonal_and_dense_paths_agree():
