@@ -12,9 +12,12 @@ each side is checked and not timed: a side whose first pass fails a check is
 rejected. Then every round asks both sides for one pass with the same seed,
 alternating which side goes first, so drift of the host falls on both.
 
-Prints each side's median tasks/s over the rounds and the median and
-quartiles of the per-round ratio parent/change of the pass time (above 1:
-the change is faster). Nothing is written; only ``perfbench/`` is read.
+Prints each side's median tasks/s over the rounds and its ``task_s.p50``
+(the median over the tasks of each task's median latency in the timed
+passes, as ``perfbench/run.py`` reports it), the ratio parent/change of the
+two p50s, and the median and quartiles of the per-round ratio parent/change
+of the pass time (above 1: the change is faster). Nothing is written; only
+``perfbench/`` is read.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ while True:
     tally = run.Tally()
     run.run_pass(wl, random.Random(int(line)), tally)
     reply = {"busy_s": tally.busy_s, "tasks": len(tally.latencies),
+             "by_task": [[repr(task), lat] for task, lat in tally.by_task.items()],
              "failed": tally.failed, "problems": tally.problems[:3]}
     sys.stdout.write(json.dumps(reply) + "\n")
     sys.stdout.flush()
@@ -68,7 +72,7 @@ class Side:
         self.proc = subprocess.Popen([sys.executable, "-c", CHILD, str(root), workload],
                                      cwd=root, env=env, stdin=subprocess.PIPE,
                                      stdout=subprocess.PIPE, text=True)
-        self.rates, self.failed = [], 0
+        self.rates, self.failed, self.by_task = [], 0, {}
 
     def run_pass(self, seed: int) -> dict:
         self.proc.stdin.write(f"{seed}\n")
@@ -82,7 +86,15 @@ class Side:
         reply = self.run_pass(seed)
         self.failed += reply["failed"]
         self.rates.append(reply["tasks"] / reply["busy_s"])
+        for task, latencies in reply["by_task"]:
+            self.by_task.setdefault(task, []).extend(latencies)
         return reply["busy_s"]
+
+    @property
+    def task_p50(self) -> float:
+        """Median over the tasks of each task's median latency, as
+        ``Tally.task_p50`` in perfbench/run.py."""
+        return statistics.median(statistics.median(v) for v in self.by_task.values())
 
     def close(self) -> None:
         if self.proc.poll() is None:
@@ -132,8 +144,10 @@ def main(argv=None) -> int:
             side.close()
 
     for side in sides:
-        print(f"{side.label}: median {statistics.median(side.rates):.1f} tasks/s over "
-              f"{args.rounds} passes, {side.failed} failed tasks ({side.root})")
+        print(f"{side.label}: median {statistics.median(side.rates):.1f} tasks/s and "
+              f"task_s.p50 {side.task_p50:.6g} s over {args.rounds} passes, "
+              f"{side.failed} failed tasks ({side.root})")
+    print(f"task_s.p50 parent/change: {sides[0].task_p50 / sides[1].task_p50:.3f}")
     q1, _, q3 = statistics.quantiles(ratios, n=4)
     median = statistics.median(ratios)
     print(f"pass time parent/change: median {median:.3f} [quartiles {q1:.3f}, {q3:.3f}] "

@@ -26,7 +26,6 @@ from .wva import (
     WeakValueStrategy,
     collective_success,
     evolved_joint,
-    max_weak_value_bound,
     meter_readout,
     orthogonal_complement_state,
     postselect,

@@ -315,46 +315,3 @@ def measure_probability_analytic(two_j: int, m1: float, m2: float,
     else:
         raise ValueError(f"unknown reference kind {zeta!r}; valid: {REFERENCE_KINDS}")
     return p1 * p2 / (p1 + p2) * success_prob
-
-
-@dataclass(frozen=True)
-class OverlapExpansionReport:
-    max_abs_deviation: float
-    max_rel_deviation: float
-    prefactor: float
-    weak_value_exponent: float
-
-
-def overlap_expansion_check(two_j: int, kappa: float, g: float,
-                            eta: complex = 0.1) -> OverlapExpansionReport:
-    """Compare the postselection overlap bra of the exactly evolved nonlinear
-    strategy against its closed exponential form
-    prefactor * <phi_i| exp(i g A_w B), A_w = (j^2 + 2j + j/sqrt(kappa))/2.
-
-    The deviation is the second-order error of collapsing the two-branch
-    phase sum into a single exponential; it grows as O(g^2).
-    """
-    from .wva import evolved_joint, strategy_nonlinear_joint
-
-    strat = strategy_nonlinear_joint(two_j, kappa, g=g, eta=eta)
-    j = strat.system_space.j
-    space = strat.system_space
-    block = evolved_joint(strat).amplitudes.reshape(space.dim, strat.meter_space.dim)
-
-    alpha = strat.psi_f.amplitudes[space.index_of(0.0)]
-    beta = strat.psi_f.amplitudes[space.index_of(-j)]
-    lhs = np.conj(alpha * block[space.index_of(0.0)] + beta * block[space.index_of(-j)])
-
-    a_w = 0.5 * (j**2 + 2 * j + j / sqrt(kappa))
-    prefactor = sqrt(kappa) * j / sqrt(1.0 + kappa * j**2)
-    n_diag = strat.B.entries.real
-    rhs = prefactor * np.conj(strat.phi_i.amplitudes) * np.exp(1j * g * a_w * n_diag)
-
-    dev = np.abs(lhs - rhs)
-    scale = float(np.max(np.abs(rhs)))
-    return OverlapExpansionReport(
-        max_abs_deviation=float(np.max(dev)),
-        max_rel_deviation=float(np.max(dev)) / scale,
-        prefactor=prefactor,
-        weak_value_exponent=a_w,
-    )

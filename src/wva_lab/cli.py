@@ -121,6 +121,14 @@ def _integer(cfg: RunConfig, key: str, default=None) -> int:
     return int(v)
 
 
+def _finite(cfg: RunConfig, key: str) -> float:
+    """A required real setting that must be finite."""
+    v = float(cfg.require(key))
+    if not np.isfinite(v):
+        raise ConfigError(f"{key.replace('_', '-')}: must be finite, got {v}")
+    return v
+
+
 def _switch(cfg: RunConfig, key: str) -> bool:
     """An on/off setting: a flag, or a JSON boolean in a config file."""
     v = cfg.get(key, False)
@@ -139,7 +147,7 @@ def _build_single_strategy(cfg: RunConfig):
     fam = chosen[0]
     # the uncorrelated baseline is a single probe: it takes no register size
     two_j = _integer(cfg, "two_j") if fam.levels is not None else 1
-    strat = fam.build(two_j, float(cfg.get(fam.param_key)),
+    strat = fam.build(two_j, _finite(cfg, fam.param_key),
                       g=float(cfg.get("g", DEFAULT_G)),
                       eta=complex(cfg.get("eta", DEFAULT_ETA)))
     return strat, fam
@@ -178,7 +186,7 @@ def cmd_scaling(cfg: RunConfig) -> int:
         raise ConfigError(f"family: unknown {family_flag!r}; "
                           f"valid: {', '.join(sorted(BY_CLI_NAME))}")
     fam = BY_CLI_NAME[family_flag]
-    parameter = float(cfg.require(fam.param_key))
+    parameter = _finite(cfg, fam.param_key)
     j_min = _integer(cfg, "j_min", 4)
     j_max = _integer(cfg, "j_max", 20)
     j_step = _integer(cfg, "j_step", 2)
@@ -214,8 +222,8 @@ def cmd_scaling(cfg: RunConfig) -> int:
 
 def cmd_circuit_prep(cfg: RunConfig) -> int:
     two_j = _integer(cfg, "two_j")
-    m1 = float(cfg.require("m1"))
-    m2 = float(cfg.require("m2"))
+    m1 = _finite(cfg, "m1")
+    m2 = _finite(cfg, "m2")
     alpha = float(cfg.get("alpha", 1 / np.sqrt(2)))
     beta = float(cfg.get("beta", 1 / np.sqrt(2)))
     circuits.check_ancilla(alpha, beta)

@@ -22,7 +22,12 @@ conserved charge 2Jz + n (see `_frame_propagator`). The solver, the
 fidelity scan and the diagnostics read the model from vectors
 (`_model_vectors`): m, the superdiagonal of J+, the one nonzero diagonal of
 a^2 and the charge, with the element formulas of the dense operators, so no
-ladder matrix or `Operator` is built for them. Only `_ladder_parts` builds
+ladder matrix or `Operator` is built for them. Everything that depends only
+on the register size (two_j, fock_cutoff), those vectors, the charge blocks
+with their g0-free couplings, the g0-free generator brackets and the
+positions of the nonzero elements of H(t), is built once per size and
+shared read-only, as is the charge of `conserved_charge`; a call applies
+only g0, delta_minus, t and psi0 to it. Only `_ladder_parts` builds
 dim x dim matrices, for the test oracles and the recorded benchmark
 references; the independent check that H(t) conserves 2Jz + n
 (`conservation_residual`) forms only its nonzero elements, against the
@@ -33,6 +38,7 @@ evolution entry point: its trace holds both models' states.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import copysign, inf, isqrt
 from typing import NamedTuple
 
@@ -128,27 +134,82 @@ def time_grid(params: TwoPhotonTCParams, store_every: int = 1):
 
 
 class _ModelVectors(NamedTuple):
-    """The two-photon model's pieces as vectors: m on the spin indices, the
-    superdiagonal <m+1|J+|m> at m[1:], <n|a^2|n+2> at n = 0..cutoff-2, and the
-    charge 2Jz + n on the joint indices."""
+    """The two-photon model's pieces that depend only on (two_j, fock_cutoff),
+    every array read-only:
+
+    * m on the spin indices, the superdiagonal <m+1|J+|m> at m[1:],
+      <n|a^2|n+2> at n = 0..cutoff-2, and the charge 2Jz + n and m on the
+      joint indices
+    * the charge blocks of `_frame_propagator`: one (idx, diagonal
+      positions, g0-free couplings) per block size
+    * the g0-free brackets of `effective_generator_diag`: (J^2 - Jz^2) n
+      and (J^2 - Jz^2)(4n + 2) + 2 Jz (n^2 + n + 1)
+    * the joint rows, columns and g0-free values of the nonzero elements of
+      J+ (x) a^2, which `conservation_residual` forms"""
 
     m: np.ndarray
     jplus_up: np.ndarray
     a2_up: np.ndarray
     charge: np.ndarray
+    m_joint: np.ndarray
+    blocks: tuple
+    leading: np.ndarray
+    bracket: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    coupling: np.ndarray
 
 
 def _model_vectors(params: TwoPhotonTCParams) -> _ModelVectors:
+    """The model structure of the register of `params`, built once per
+    (two_j, fock_cutoff) and shared; each call applies only g0, delta_minus
+    and t to it."""
+    return _register_model(params.two_j, params.fock_cutoff)
+
+
+def _frozen(*arrays):
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def _charge_blocks(q: np.ndarray):
+    """Joint indices grouped by the charge q = 2Jz + n: one (blocks, size)
+    array of index rows per distinct block size."""
+    order = np.argsort(q, kind="stable")
+    starts = np.flatnonzero(np.diff(q[order], prepend=np.nan))
+    sizes = np.diff(starts, append=q.size)
+    return [order[starts[sizes == s][:, None] + np.arange(s)] for s in np.unique(sizes)]
+
+
+@lru_cache(maxsize=16, typed=True)
+def _register_model(two_j: int, fock_cutoff: int) -> _ModelVectors:
     """The pieces of the model from the element formulas of `collective_op`,
-    `op_annihilate` @ itself and `conserved_charge`, so each equals what those
-    dense objects give bit for bit, without building them."""
-    space = SpinSpace(params.two_j)
+    `op_annihilate` @ itself, `nonlinear_observable` and `conserved_charge`,
+    so each equals what those dense objects give bit for bit, without
+    building them."""
+    space = SpinSpace(two_j)
     j, m = space.j, space.m_values()
-    n = np.arange(params.fock_cutoff + 1, dtype=float)
+    levels = fock_cutoff + 1
+    n = np.arange(levels, dtype=float)
     jplus_up = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
     # the one nonzero product a @ a forms: <n-2|a|n-1> <n-1|a|n> for n >= 2
     a2_up = np.sqrt(n[1:-1]) * np.sqrt(n[2:])
-    return _ModelVectors(m, jplus_up, a2_up, (2.0 * m[:, None] + n[None, :]).ravel())
+    charge = (2.0 * m[:, None] + n[None, :]).ravel()
+    # <m,n| J+ a^2 |m-1,n+2> at the spin index of m and the Fock level n
+    blocks = tuple(_frozen(idx, np.arange(idx.shape[1]),
+                           jplus_up[idx[:, :-1] // levels] * a2_up[idx[:, :-1] % levels])
+                   for idx in _charge_blocks(charge))
+    a_diag = j * (j + 1) - m**2  # J^2 - Jz^2
+    bracket = (a_diag[:, None] * (4.0 * n[None, :] + 2.0)
+               + 2.0 * m[:, None] * (n[None, :] ** 2 + n[None, :] + 1.0))
+    spin, fock = np.arange(jplus_up.size), np.arange(a2_up.size)
+    rows = (spin[:, None] * levels + fock).ravel()
+    cols = rows + levels + 2  # |m-1, n+2>, one spin index and two levels on
+    return _ModelVectors(
+        *_frozen(m, jplus_up, a2_up, charge, np.repeat(m, levels)), blocks,
+        *_frozen(np.outer(a_diag, n).ravel(), bracket.ravel(), rows, cols,
+                 np.outer(jplus_up, a2_up).ravel()))
 
 
 def _ladder_parts(params: TwoPhotonTCParams):
@@ -162,11 +223,16 @@ def _ladder_parts(params: TwoPhotonTCParams):
 
 def conserved_charge(params: TwoPhotonTCParams) -> Operator:
     """2 Jz + n, which commutes with the oscillating Hamiltonian at all times."""
-    space = SpinSpace(params.two_j)
-    m = space.m_values()
-    n = np.arange(params.fock_cutoff + 1, dtype=float)
-    diag = (2.0 * m[:, None] + n[None, :]).ravel()
-    return Operator.from_diagonal(diag)
+    return _charge_operator(params.two_j, params.fock_cutoff)
+
+
+@lru_cache(maxsize=16, typed=True)
+def _charge_operator(two_j: int, fock_cutoff: int) -> Operator:
+    """The charge of `conserved_charge`, built once per register size apart
+    from the model's, so that the conservation check compares the two."""
+    m = SpinSpace(two_j).m_values()
+    n = np.arange(fock_cutoff + 1, dtype=float)
+    return Operator.from_diagonal((2.0 * m[:, None] + n[None, :]).ravel())
 
 
 def conservation_residual(params: TwoPhotonTCParams, t: float = 0.237) -> float:
@@ -178,14 +244,9 @@ def conservation_residual(params: TwoPhotonTCParams, t: float = 0.237) -> float:
     their Hermitian conjugates give the same moduli. The charge is read from
     `conserved_charge`, so this checks the model's vectors against it."""
     model = _model_vectors(params)
-    levels = params.fock_cutoff + 1
-    spin, fock = np.arange(model.jplus_up.size), np.arange(model.a2_up.size)
-    rows = (spin[:, None] * levels + fock).ravel()
-    cols = rows + levels + 2  # |m-1, n+2>, one spin index and two levels on
-    h = np.exp(1j * params.delta_minus * t) * (
-        params.g0 * np.outer(model.jplus_up, model.a2_up).ravel())
+    h = np.exp(1j * params.delta_minus * t) * (params.g0 * model.coupling)
     q = conserved_charge(params).entries.real
-    comm = h * q[cols] - q[rows] * h
+    comm = h * q[model.cols] - q[model.rows] * h
     return float(np.max(np.abs(comm), initial=0.0))
 
 
@@ -194,15 +255,6 @@ def conservation_residual(params: TwoPhotonTCParams, t: float = 0.237) -> float:
 #: step. Where F pairs times sqrt(grid points) exceed it, the fine table
 #: narrows and the coarse rows run in groups.
 CHUNK_ELEMENTS = 2**13
-
-
-def _charge_blocks(q: np.ndarray):
-    """Joint indices grouped by the charge q = 2Jz + n: one (blocks, size)
-    array of index rows per distinct block size."""
-    order = np.argsort(q, kind="stable")
-    starts = np.flatnonzero(np.diff(q[order], prepend=np.nan))
-    sizes = np.diff(starts, append=q.size)
-    return [order[starts[sizes == s][:, None] + np.arange(s)] for s in np.unique(sizes)]
 
 
 def _frame_propagator(params: TwoPhotonTCParams, psi0: StateVector):
@@ -223,18 +275,15 @@ def _frame_propagator(params: TwoPhotonTCParams, psi0: StateVector):
         raise ValueError("psi0 must be normalized")
     if psi0.dim != params.joint_dim:
         raise ValueError("psi0 must live on the joint space")
-    model, levels = _model_vectors(params), params.fock_cutoff + 1
-    d_jz = params.delta_minus * np.repeat(model.m, levels)
+    model = _model_vectors(params)
+    d_jz = params.delta_minus * model.m_joint
     blocks = []
-    for idx in _charge_blocks(model.charge):
-        upper, diag = idx[:, :-1], np.arange(idx.shape[1])
+    for idx, diag, coupling in model.blocks:
         gen = np.zeros(idx.shape + idx.shape[1:])
         gen[:, diag, diag] = d_jz[idx]
-        # <m,n| J+ a^2 |m-1,n+2> at the spin index of m and the Fock level
-        # n, multiplied as g0 * (J+ * a^2) like np.kron in `_ladder_parts`,
-        # so the blocks equal those of the dense generator bit for bit
-        gen[:, diag[:-1], diag[1:]] = gen[:, diag[1:], diag[:-1]] = \
-            params.g0 * (model.jplus_up[upper // levels] * model.a2_up[upper % levels])
+        # multiplied as g0 * (J+ * a^2) like np.kron in `_ladder_parts`, so
+        # the blocks equal those of the dense generator bit for bit
+        gen[:, diag[:-1], diag[1:]] = gen[:, diag[1:], diag[:-1]] = params.g0 * coupling
         evals, evecs = np.linalg.eigh(gen)
         coeffs = np.einsum("bik,bi->bk", evecs.conj(), psi0.amplitudes[idx])
         blocks.append((idx, evals, evecs, coeffs))
@@ -274,16 +323,10 @@ def effective_generator_diag(params: TwoPhotonTCParams,
     fidelity 0.886 and |1,+1> to 0.844 within a quarter effective period,
     while the second-order generator keeps 0.9999 and 0.954.
     """
-    m, j = SpinSpace(params.two_j).m_values(), params.two_j / 2.0
-    a_diag = j * (j + 1) - m**2  # J^2 - Jz^2, as `nonlinear_observable` forms it
-    n = np.arange(params.fock_cutoff + 1, dtype=float)
+    model = _model_vectors(params)
     if include_commutator_terms:
-        scale = params.g0**2 / params.delta_minus
-        diag = scale * (a_diag[:, None] * (4.0 * n[None, :] + 2.0)
-                        + 2.0 * m[:, None] * (n[None, :] ** 2 + n[None, :] + 1.0))
-    else:
-        diag = params.g_dispersive * np.outer(a_diag, n)
-    return diag.ravel()
+        return params.g0**2 / params.delta_minus * model.bracket
+    return params.g_dispersive * model.leading
 
 
 def _effective_states(gen, psi0: StateVector, times):

@@ -341,6 +341,54 @@ def test_non_finite_inputs_exit_2(capsys, argv):
     assert captured.err.splitlines() == [captured.err.strip()]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["weak-value", "--theta", "inf"], "theta: must be finite, got inf"),
+    (["weak-value", "--two-j", "4", "--kappa", "nan"], "kappa: must be finite, got nan"),
+    (["weak-value", "--two-j", "4", "--a-w", "inf"], "a-w: must be finite, got inf"),
+    (["weak-value", "--two-j", "4", "--epsilon", "inf"], "epsilon: must be finite, got inf"),
+    (["circuit-prep", "--two-j", "2", "--m1", "nan", "--m2", "-1"], "m1: must be finite, got nan"),
+    (["circuit-prep", "--two-j", "2", "--m1", "0", "--m2=-inf"], "m2: must be finite, got -inf"),
+    (["scaling", "--family", "nonlinear-joint", "--kappa", "nan"],
+     "kappa: must be finite, got nan"),
+], ids=["theta-inf", "kappa-nan", "a-w-inf", "epsilon-inf", "m1-nan", "m2-inf",
+        "scaling-kappa-nan"])
+def test_a_non_finite_flag_is_named(capsys, argv, message):
+    # `--theta inf` printed `math domain error`, `--kappa nan` a P_s range
+    # error and `--m1 nan` `cannot convert float NaN to integer`
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+KICK_OVERFLOW = ["weak-value", "--two-j", "4", "--kappa", "0.001", "--g", "1e308"]
+
+
+def test_an_overflowing_kick_phase_exits_2(capsys):
+    for argv, phase in ((KICK_OVERFLOW, "g = 1e+308 makes the exact-kick phase g a b overflow"),
+                        (KICK_OVERFLOW[:-1] + ["3e306"],
+                         "g = 3e+306 makes the first-order phase g A_w b overflow")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {phase}\n"
+
+
+def test_an_overflowing_kick_phase_prints_one_error_line():
+    # a fresh process, where NumPy's RuntimeWarnings used to reach stderr
+    code = "import sys; from wva_lab.cli import run; sys.exit(run(sys.argv[1:]))"
+    out = subprocess.run([sys.executable, "-c", code, *KICK_OVERFLOW],
+                         capture_output=True, text=True, timeout=60,
+                         cwd=pathlib.Path(__file__).resolve().parents[1] / "src")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == "error: g = 1e+308 makes the exact-kick phase g a b overflow\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["fisher", "--two-j", "4", "--kappa", "0.001", "--eta", "0"],
     ["scaling", "--family", "nonlinear-joint", "--j-min", "4", "--j-max", "10",

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from math import isqrt
 
@@ -440,6 +441,77 @@ def test_model_calls_build_no_dense_ladder(monkeypatch, rng):
     assert calls == []
     hamiltonian_full(p, 0.1)  # the dense oracle still builds both
     assert sorted(calls) == ["collective_op", "op_annihilate"]
+
+
+def model_outputs(p, psi0):
+    """Every output of the dispersive calls at `p`, as bytes."""
+    out = []
+    for commutator in (False, True):
+        min_fid, trace = effective_model_fidelity(p, psi0, store_every=7,
+                                                  include_commutator_terms=commutator)
+        out += [min_fid, trace.times, trace.full_states, trace.effective_states,
+                trace.fidelities, trace.max_norm_drift, charge_drift(p, trace),
+                effective_generator_diag(p, commutator)]
+    out += [conservation_residual(p), conservation_residual(p, 1.3), conserved_charge(p).entries]
+    return [np.asarray(x).tobytes() for x in out]
+
+
+@pytest.mark.parametrize("two_j, cutoff", [(2, 6), (7, 9), (8, 8), (12, 20)])
+def test_cold_and_warm_model_caches_give_the_same_bits(rng, two_j, cutoff):
+    p, psi0 = block_oracle_case(rng, two_j, cutoff)
+    dynamics._register_model.cache_clear()
+    dynamics._charge_operator.cache_clear()
+    cold = model_outputs(p, psi0)
+    model_outputs(*block_oracle_case(rng, 3, 5))  # another register in between
+    assert model_outputs(p, psi0) == cold
+    # the cached structure is what a fresh build gives
+    fresh = dynamics._register_model.__wrapped__(two_j, cutoff)
+    cached = dynamics._model_vectors(p)
+    for name in dynamics._ModelVectors._fields:
+        if name == "blocks":
+            assert len(cached.blocks) == len(fresh.blocks)
+            for block, fresh_block in zip(cached.blocks, fresh.blocks):
+                assert [a.tobytes() for a in block] == [a.tobytes() for a in fresh_block]
+        else:
+            assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes()
+
+
+def test_cached_model_arrays_are_read_only():
+    p = make_params(two_j=7, fock_cutoff=9)
+    model = dynamics._model_vectors(p)
+    arrays = [a for name, a in model._asdict().items() if name != "blocks"]
+    arrays += [a for block in model.blocks for a in block]
+    arrays.append(conserved_charge(p).entries)
+    assert len(arrays) == len(model) - 1 + 3 * len(model.blocks) + 1
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a += 0
+        if a.size:  # one-member blocks have no couplings
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = a.flat[0]
+
+
+def test_model_cache_holds_one_entry_per_register(rng):
+    dynamics._register_model.cache_clear()
+    dynamics._charge_operator.cache_clear()
+    p, psi0 = block_oracle_case(rng, 7, 9)
+    variants = [p, dataclasses.replace(p, g0=0.03), dataclasses.replace(p, delta_minus=-1.0)]
+    for q in variants:
+        _, trace = effective_model_fidelity(q, psi0, store_every=50)
+        charge_drift(q, trace)
+        conservation_residual(q)
+    assert dynamics._register_model.cache_info().currsize == 1
+    assert dynamics._register_model.cache_info().misses == 1
+    assert dynamics._charge_operator.cache_info().currsize == 1
+    assert all(dynamics._model_vectors(q) is dynamics._model_vectors(p) for q in variants)
+    assert all(conserved_charge(q) is conserved_charge(p) for q in variants)
+    other, other_psi0 = block_oracle_case(rng, 8, 8)
+    effective_model_fidelity(other, other_psi0, store_every=50)
+    conservation_residual(other)
+    assert dynamics._register_model.cache_info().currsize == 2
+    assert dynamics._charge_operator.cache_info().currsize == 2
+    assert dynamics._model_vectors(other) is not dynamics._model_vectors(p)
 
 
 def single_level_frame(rng, length):

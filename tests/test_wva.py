@@ -1,4 +1,7 @@
 import dataclasses
+import re
+import warnings
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -15,7 +18,6 @@ from wva_lab.wva import (
     centered_quadrature,
     collective_success,
     evolved_joint,
-    max_weak_value_bound,
     meter_readout,
     orthogonal_complement_state,
     postselect,
@@ -188,6 +190,13 @@ def test_fixed_ps_state_limits_and_coefficients():
     assert success_probability(psi, exact) == pytest.approx(kappa * 16, abs=1e-12)
     p_approx = success_probability(psi, approx)
     assert p_approx == pytest.approx(kappa * 16 / (1 + kappa * 16), abs=1e-12)
+
+
+def max_weak_value_bound(psi_i: StateVector, A: Operator, target_ps: float) -> float:
+    """sqrt(Var(A)/P): the attainable |A_w| ceiling at success probability P."""
+    if not 0.0 < target_ps < 1.0:
+        raise ValueError("target success probability must lie strictly between 0 and 1")
+    return sqrt(variance(A, psi_i) / target_ps)
 
 
 def test_fixed_ps_weak_value_approaches_bound():
@@ -456,6 +465,49 @@ def test_strategy_rejects_a_non_finite_coupling(g):
                  lambda: dataclasses.replace(strat, g=g)):
         with pytest.raises(ValueError, match="g must be finite"):
             make()
+
+
+def first_rejected_coupling(call, build, estimate):
+    """The smallest g from `estimate` upwards, in steps of one float, for
+    which `call(build(g))` raises; the float below it must run without a
+    warning."""
+    g = estimate
+    for _ in range(64):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                call(build(g))
+        except ValueError as exc:
+            return g, np.nextafter(g, 0.0), str(exc)
+        g = np.nextafter(g, np.inf)
+    raise AssertionError(f"no g near {estimate} is rejected")
+
+
+@pytest.mark.parametrize("name", ["nonlinear", "uncorrelated"])
+def test_an_overflowing_kick_phase_names_g(name):
+    # `weak-value --g 1e308` printed NumPy RuntimeWarnings from the inf
+    # phases (and inf * 0) before it failed on a NaN norm
+    def build(g):
+        if name == "nonlinear":
+            return strategy_nonlinear_joint(4, 1e-3, g=float(g))
+        return strategy_uncorrelated(0.3, g=float(g))  # the dense-A eigenbasis path
+    strat = build(1.0)
+    b_max = float(np.max(strat.B.entries.real))
+    a_max = float(np.max(np.abs(np.linalg.eigvalsh(strat.A.dense()))))
+    for call, largest, phase in ((evolved_joint, a_max * b_max, "exact-kick phase g a b"),
+                                 (postselect, abs(strat.weak_value()) * b_max,
+                                  "first-order phase g A_w b")):
+        estimate = np.nextafter(np.finfo(float).max / largest, 0.0)
+        for _ in range(8):
+            estimate = np.nextafter(estimate, 0.0)
+        rejected, accepted, message = first_rejected_coupling(call, build, estimate)
+        assert message == f"g = {float(rejected)} makes the {phase} overflow"
+        assert rejected / accepted - 1.0 < 1e-15
+    for g in (1e308, -1e308):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"g = {g} makes the exact-kick")):
+                postselect(build(g))
 
 
 def test_postselect_diagonal_and_dense_paths_agree():
