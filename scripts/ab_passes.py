@@ -16,8 +16,11 @@ Prints each side's median tasks/s over the rounds and its ``task_s.p50``
 (the median over the tasks of each task's median latency in the timed
 passes, as ``perfbench/run.py`` reports it), the ratio parent/change of the
 two p50s, and the median and quartiles of the per-round ratio parent/change
-of the pass time (above 1: the change is faster). Nothing is written; only
-``perfbench/`` is read.
+of the pass time (above 1: the change is faster). Then it prints each
+child's peak RSS (``ru_maxrss``) after the rounds. Both children run the same
+passes and keep no ``Tally`` across them, so the two peaks differ by the
+program's own memory, without the latencies that ``perfbench/run.py`` keeps
+for every task. Nothing is written; only ``perfbench/`` is read.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ BLAS_THREADS = "1"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 CHILD = r"""
-import json, os, random, sys
+import json, os, random, resource, sys
 from pathlib import Path
 
 root, name = Path(sys.argv[1]), sys.argv[2]
@@ -53,7 +56,8 @@ while True:
     run.run_pass(wl, random.Random(int(line)), tally)
     reply = {"busy_s": tally.busy_s, "tasks": len(tally.latencies),
              "by_task": [[repr(task), lat] for task, lat in tally.by_task.items()],
-             "failed": tally.failed, "problems": tally.problems[:3]}
+             "failed": tally.failed, "problems": tally.problems[:3],
+             "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}
     sys.stdout.write(json.dumps(reply) + "\n")
     sys.stdout.flush()
 """
@@ -73,6 +77,8 @@ class Side:
                                      cwd=root, env=env, stdin=subprocess.PIPE,
                                      stdout=subprocess.PIPE, text=True)
         self.rates, self.failed, self.by_task = [], 0, {}
+        #: The child's peak RSS in KiB at its last reply.
+        self.maxrss_kib = 0
 
     def run_pass(self, seed: int) -> dict:
         self.proc.stdin.write(f"{seed}\n")
@@ -80,7 +86,9 @@ class Side:
         line = self.proc.stdout.readline()
         if not line:
             raise RuntimeError(f"{self.label} child exited (code {self.proc.wait()})")
-        return json.loads(line)
+        reply = json.loads(line)
+        self.maxrss_kib = reply["maxrss_kib"]
+        return reply
 
     def timed_pass(self, seed: int) -> float:
         reply = self.run_pass(seed)
@@ -152,6 +160,9 @@ def main(argv=None) -> int:
     median = statistics.median(ratios)
     print(f"pass time parent/change: median {median:.3f} [quartiles {q1:.3f}, {q3:.3f}] "
           f"over {args.rounds} rounds of {args.workload}")
+    for side in sides:
+        print(f"{side.label}: peak RSS {side.maxrss_kib / 1024:.2f} MB after the rounds")
+    print(f"peak RSS change/parent: {sides[1].maxrss_kib / sides[0].maxrss_kib:.4f}")
     return 1 if any(side.failed for side in sides) else 0
 
 

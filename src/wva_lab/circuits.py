@@ -34,11 +34,12 @@ Ancilla conventions, resolved once and used everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, sqrt
 
 import numpy as np
 
-from .linalg import StateVector
+from .linalg import StateVector, _read_only
 from .spin import SpinSpace
 
 #: Largest register of the brute-force circuits; larger ones are refused.
@@ -106,15 +107,17 @@ def _popcounts(two_j: int) -> np.ndarray:
     return counts
 
 
+@lru_cache(maxsize=MAX_REGISTER_TWO_J)
 def _dicke_embeddings(two_j: int) -> np.ndarray:
     """The embeddings of every level, one row per level in the order of
     `SpinSpace.m_values` (row k has j + m = two_j - k ones), from one
-    popcount table: a (2j+1, 2^(2j)) array."""
+    popcount table: a read-only (2j+1, 2^(2j)) array, built once per
+    register size (callers check the size first, so every one fits)."""
     ones = _popcounts(two_j)
     weights = np.array([1.0 / sqrt(comb(two_j, n)) for n in range(two_j + 1)])
     rows = np.zeros((two_j + 1, ones.size), dtype=complex)
     rows[two_j - ones, np.arange(ones.size)] = weights[ones]
-    return rows
+    return _read_only(rows)
 
 
 def embed_dicke(two_j: int, m: float) -> StateVector:
@@ -129,9 +132,7 @@ def reference_state(two_j: int, kind: str, m1: float | None = None,
                     m2: float | None = None) -> ReferenceState:
     _check_register(two_j)
     if kind == "plus_all":
-        dim = 2**two_j
-        vec = StateVector(dim=dim, amplitudes=np.full(dim, 2.0 ** (-two_j / 2.0), dtype=complex))
-        return ReferenceState(kind=kind, two_j=two_j, vector=vec)
+        return _plus_all(two_j)
     if kind == "dicke_superposition":
         if m1 is None or m2 is None:
             raise ValueError("dicke_superposition reference needs m1 and m2")
@@ -140,6 +141,15 @@ def reference_state(two_j: int, kind: str, m1: float | None = None,
         return ReferenceState(kind=kind, two_j=two_j, vector=StateVector.of(amps),
                               m1=m1, m2=m2)
     raise ValueError(f"unknown reference kind {kind!r}; valid: {REFERENCE_KINDS}")
+
+
+@lru_cache(maxsize=MAX_REGISTER_TWO_J)
+def _plus_all(two_j: int) -> ReferenceState:
+    """|+>^(2j), built once per register size and shared (it is frozen)."""
+    dim = 2**two_j
+    vec = StateVector(dim=dim, amplitudes=_read_only(np.full(dim, 2.0 ** (-two_j / 2.0),
+                                                             dtype=complex)))
+    return ReferenceState(kind="plus_all", two_j=two_j, vector=vec)
 
 
 def reference_overlap(zeta: ReferenceState, m: float) -> complex:

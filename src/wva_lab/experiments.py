@@ -18,17 +18,18 @@ within the register cap (two_j <= 10), each control-SWAP branch on its own
 nonzero block: about 0.2 ms per record at two_j = 10. The collective families'
 observables are diagonal and stored as vectors, so one record costs
 O(two_j) memory and the sweeps reach two_j = 10^5. The kick is phased only
-on psi_i's two Dicke levels, and the coherent meter is built once per eta
-and shared by every record of a sweep: a near_deterministic record costs
-about 0.27 ms at two_j = 200 and 0.36 ms at two_j = 600 (2 cores, CPython
-3.11, NumPy 2.4, one BLAS thread), most of it in validating and reducing
-the full-length joint state and in strategy construction.
+on psi_i's two Dicke levels. What depends only on the register size (the
+diagonal observables, psi_i, the circuits' Dicke embeddings) is built once
+per size, the coherent meter and its moments once per eta, and every array
+is validated once, without a copy: a near_deterministic record costs about
+0.12 ms at two_j = 200 and 0.15 ms at two_j = 600 (2 cores, CPython 3.11,
+NumPy 2.4, one BLAS thread), most of it in evolving, projecting and
+reducing the full-length joint state and in building psi_f.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sin
 from typing import Callable
@@ -202,6 +203,10 @@ def sweep(family: str, two_j_values, parameter: float, *, g: float = DEFAULT_G,
         return _one_record(fam, tj, parameter, g, eta, baseline_theta, with_circuits)
 
     if max_workers > 1:
+        # imported here: no other caller needs the pool, and it costs every
+        # process that imports the package about 3 ms and 0.6 MB
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             records = list(pool.map(make, sizes))
     else:
@@ -283,23 +288,51 @@ def record_to_dict(r: ScalingRecord) -> dict:
     }
 
 
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_members(doc: dict) -> list[str]:
+    """The `"key": value` members of a dict with identifier keys and int,
+    float or None values, each as `json.dumps` writes it (any other value
+    raises TypeError, as there)."""
+    members = []
+    for key, value in doc.items():
+        if value is None:
+            text = "null"
+        elif isinstance(value, float):
+            text = float.__repr__(value)
+            text = _JSON_NON_FINITE.get(text, text)
+        else:
+            text = int.__repr__(value)
+        members.append(f'"{key}": {text}')
+    return members
+
+
+def _json_object(members: list[str], level: int) -> str:
+    """A non-empty JSON object at nesting depth `level`, laid out as
+    `json.dumps(indent=2)` lays it out, from its encoded members."""
+    pad = "  " * (level + 1)
+    return "{\n" + pad + (",\n" + pad).join(members) + "\n" + "  " * level + "}"
+
+
 def records_to_json(family: str, parameter: float, records,
                     fits: dict | None = None) -> str:
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "family": family,
-        "parameter": _round12(parameter),
-        "sigma_baseline": _lookup(family).sigma_baseline,
-        "records": [record_to_dict(r) for r in records],
-    }
+    """The records document: byte for byte what `json.dumps(doc, indent=2)`
+    writes, without its pure-Python indenting encoder, which costs several
+    times this direct layout."""
+    head = _json_members({"parameter": _round12(parameter)})
+    baseline = _lookup(family).sigma_baseline
+    blocks = [_json_object(_json_members(record_to_dict(r)), 2) for r in records]
+    members = [f'"schema": {json.dumps(SCHEMA_VERSION)}', f'"family": {json.dumps(family)}',
+               *head, f'"sigma_baseline": {json.dumps(baseline)}',
+               '"records": ' + ("[\n    " + ",\n    ".join(blocks) + "\n  ]" if blocks else "[]")]
     if fits:
-        doc["fits"] = {
-            name: {
+        members.append('"fits": ' + _json_object([
+            f"{json.dumps(name)}: " + _json_object(_json_members({
                 "slope": _round12(fit.slope),
                 "intercept": _round12(fit.intercept),
                 "r_squared": _round12(fit.r_squared),
                 "points_used": fit.points_used,
-            }
-            for name, fit in fits.items()
-        }
-    return json.dumps(doc, indent=2) + "\n"
+            }), 2)
+            for name, fit in fits.items()], 1))
+    return _json_object(members, 0) + "\n"

@@ -9,12 +9,16 @@ of the collective nonlinear strategy in the small-kappa, large-j regime
 (P_s * 4 A_w^2 |eta|^2 over 2 j^4 |eta|^2 -> 1/2 with A_w -> j/(2 sqrt(kappa))
 and P_s -> kappa j^2). The unweighted meter QFI is emitted alongside so the
 other reading can be inspected.
+
+The meter factor's moments and |eta| depend only on the meter, so they are
+computed once per meter (B, phi_i) and shared by every record that uses it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,15 +39,46 @@ class FisherReport:
     small_eta_prediction: float
 
 
+def _moments(op: Operator, state: StateVector) -> tuple[float, float]:
+    """(<op>, <op^2>) on `state`, the second as |op state|^2."""
+    op_state = apply(op, state).amplitudes
+    return expectation(op, state).real, float(np.real(np.vdot(op_state, op_state)))
+
+
+def _product_qfi(a: tuple[float, float], b: tuple[float, float]) -> float:
+    """4 [<A^2><B^2> - (<A><B>)^2] from the `_moments` of the two factors."""
+    return 4.0 * (a[1] * b[1] - (a[0] * b[0]) ** 2)
+
+
 def qfi_product(A: Operator, psi: StateVector, B: Operator, phi: StateVector) -> float:
     """QFI of exp(-i g A (x) B) on a product state, without assembling the
     joint operator: 4 [<A^2><B^2> - (<A><B>)^2]."""
-    a1 = expectation(A, psi).real
-    b1 = expectation(B, phi).real
-    a_psi, b_phi = apply(A, psi).amplitudes, apply(B, phi).amplitudes
-    a2 = float(np.real(np.vdot(a_psi, a_psi)))
-    b2 = float(np.real(np.vdot(b_phi, b_phi)))
-    return 4.0 * (a2 * b2 - (a1 * b1) ** 2)
+    return _product_qfi(_moments(A, psi), _moments(B, phi))
+
+
+class _Same:
+    """Hashes and compares the object it holds by identity, so that frozen
+    objects holding arrays, which have no value hash, can key a cache. The
+    key keeps the object alive, so its id is not reused while cached."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __hash__(self):
+        return id(self.obj)
+
+    def __eq__(self, other):
+        return self.obj is other.obj
+
+
+@lru_cache(maxsize=64)
+def _meter_terms(B: _Same, phi: _Same) -> tuple[tuple[float, float], float]:
+    """The `_moments` of B on phi and |eta| = sqrt(Var_phi B), once per
+    meter: the strategy constructors share one (B, phi_i) per eta (as many
+    as `wva._meter` holds), and a meter built by hand is computed once."""
+    return _moments(B.obj, phi.obj), float(np.sqrt(variance(B.obj, phi.obj)))
 
 
 def qfi_nonlinear_coherent(two_j: int, eta: complex) -> tuple[float, float]:
@@ -83,20 +118,20 @@ def postselected_fisher_ratio(strategy: WeakValueStrategy) -> FisherReport:
     sqrt(Var_phi B), which is |eta| for a coherent meter with B = n.
 
     A zero total QFI (e.g. eta = 0) means the meter carries no information
-    on g, and there is no ratio: ValueError.
+    on g, and there is no ratio: ValueError. A kick whose phases overflow
+    is rejected by `evolved_joint` before any weak-kick warning.
     """
     a_w = strategy.weak_value()
-    eta_abs = float(np.sqrt(variance(strategy.B, strategy.phi_i)))
-    kick_scale = eta_abs * strategy.g * abs(a_w)
-    if kick_scale > 0.1:
-        warnings.warn(f"|eta g A_w| ~ {kick_scale:.3g} above 0.1; "
-                      "outside the weak-kick regime", stacklevel=2)
-
-    total = qfi_product(strategy.A, strategy.psi_i, strategy.B, strategy.phi_i)
+    meter_moments, eta_abs = _meter_terms(_Same(strategy.B), _Same(strategy.phi_i))
+    total = _product_qfi(_moments(strategy.A, strategy.psi_i), meter_moments)
     if not total > 0.0:
         raise ValueError("total QFI is 0: the joint state carries no information on g")
 
     joint = evolved_joint(strategy)
+    kick_scale = eta_abs * strategy.g * abs(a_w)
+    if kick_scale > 0.1:
+        warnings.warn(f"|eta g A_w| ~ {kick_scale:.3g} above 0.1; "
+                      "outside the weak-kick regime", stacklevel=2)
     ps, kicked, norm = project_left(joint, strategy.psi_f, strategy.meter_space.dim)
     block = joint.amplitudes.reshape(strategy.system_space.dim, -1)
     a_psi_f = apply(strategy.A, strategy.psi_f).amplitudes

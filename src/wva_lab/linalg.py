@@ -2,8 +2,14 @@
 inner products, expectations and the projection of a bipartite state's left
 factor.
 
-All objects are immutable after construction (arrays are frozen), so values
-can be shared freely across threads. Every operation is a pure function.
+All objects are immutable after construction, so values can be shared
+freely across threads. Every operation is a pure function. A constructor
+validates its array once and keeps it read-only. It adopts a read-only
+complex array without a copy when nothing can write its memory: the array
+owns its data, or its base is a read-only array that owns its data. Every
+other input, a writable array or a read-only view of writable memory
+included, is copied. The package freezes the arrays it creates before
+wrapping them, so they are adopted.
 An operator is stored in one of two forms, chosen here: a diagonal operator
 as its length-dim diagonal, every other operator as its dense dim x dim
 matrix. `apply` and `expectation` work elementwise on a diagonal, so no
@@ -14,7 +20,7 @@ Elsewhere, `entries` is read as the diagonal only where `diagonal` is set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -37,28 +43,44 @@ class NullPostselectionError(ValueError):
         self.overlap = complex(overlap)
 
 
-def _frozen_array(values, dtype=complex) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """`arr`, now read-only: for an array the caller has just created and
+    hands over, so that a constructor adopts it."""
     arr.setflags(write=False)
     return arr
 
 
+def _frozen_array(values, dtype=complex) -> np.ndarray:
+    """`values` as a read-only array: adopted when nothing can write its
+    memory (see the module docstring), else a read-only copy."""
+    if (type(values) is np.ndarray and values.dtype == dtype
+            and not values.flags.writeable
+            and (values.flags.owndata
+                 or (type(values.base) is np.ndarray and values.base.flags.owndata
+                     and not values.base.flags.writeable))):
+        return values
+    return _read_only(np.array(values, dtype=dtype))
+
+
 @dataclass(frozen=True)
 class StateVector:
-    """Complex amplitude vector. Unit norm unless built via `unnormalized`."""
+    """Complex amplitude vector. Unit norm unless built via `unnormalized`;
+    a normalized state keeps the norm its validation computed."""
 
     dim: int
     amplitudes: np.ndarray
     normalized: bool = True
+    _norm: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         amps = _frozen_array(self.amplitudes)
         if amps.ndim != 1 or amps.shape[0] != self.dim or self.dim < 1:
             raise ValueError(f"amplitudes must be a length-{self.dim} vector")
         if self.normalized:
-            nrm = np.linalg.norm(amps)
+            nrm = float(np.linalg.norm(amps))
             if not abs(nrm - 1.0) <= NORM_TOL:  # a NaN norm fails too
                 raise ValueError(f"state not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
+            object.__setattr__(self, "_norm", nrm)
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
@@ -69,7 +91,7 @@ class StateVector:
         nrm = np.linalg.norm(arr)
         if nrm == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return cls(dim=arr.shape[0], amplitudes=arr / nrm)
+        return cls(dim=arr.shape[0], amplitudes=_read_only(arr / nrm))
 
     @classmethod
     def unnormalized(cls, values) -> "StateVector":
@@ -80,9 +102,11 @@ class StateVector:
     def basis(cls, dim: int, index: int) -> "StateVector":
         amps = np.zeros(dim, dtype=complex)
         amps[index] = 1.0
-        return cls(dim=dim, amplitudes=amps)
+        return cls(dim=dim, amplitudes=_read_only(amps))
 
     def norm(self) -> float:
+        if self._norm is not None:
+            return self._norm
         return float(np.linalg.norm(self.amplitudes))
 
 
@@ -125,7 +149,7 @@ class Operator:
         """The read-only dim x dim matrix, built on demand for a diagonal operator."""
         if not self.diagonal:
             return self.entries
-        return _frozen_array(np.diag(self.entries))
+        return _read_only(np.diag(self.entries))
 
 
 class Projection(NamedTuple):
@@ -146,8 +170,8 @@ def apply(op: Operator, state: StateVector) -> StateVector:
     if op.dim != state.dim:
         raise ValueError("dimension mismatch in apply")
     if op.diagonal:
-        return StateVector.unnormalized(op.entries * state.amplitudes)
-    return StateVector.unnormalized(op.entries @ state.amplitudes)
+        return StateVector.unnormalized(_read_only(op.entries * state.amplitudes))
+    return StateVector.unnormalized(_read_only(op.entries @ state.amplitudes))
 
 
 def expectation(op: Operator, state: StateVector) -> complex:
@@ -178,7 +202,7 @@ def project_left(joint: StateVector, direction: StateVector, right_dim: int) -> 
         raise NullPostselectionError("null postselection: overlap underflow", complex(nrm))
     return Projection(
         probability=min(prob, 1.0),
-        collapsed=StateVector(dim=right_dim, amplitudes=conditional / nrm),
+        collapsed=StateVector(dim=right_dim, amplitudes=_read_only(conditional / nrm)),
         overlap=complex(nrm),
     )
 

@@ -36,6 +36,7 @@ from .linalg import (
     NullPostselectionError,
     Operator,
     StateVector,
+    _read_only,
     apply,
     expectation,
     fidelity,
@@ -82,7 +83,7 @@ class WeakValueStrategy:
         object.__setattr__(self, "initial_overlap", inner(self.psi_f, self.psi_i))
 
     def weak_value(self) -> complex:
-        return weak_value(self.psi_i, self.psi_f, self.A)
+        return _weak_value(self.initial_overlap, self.psi_i, self.psi_f, self.A)
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,11 @@ def weak_value(psi_i: StateVector, psi_f: StateVector, A: Operator) -> complex:
     """<psi_f|A|psi_i> / <psi_f|psi_i>; invariant under global phases and
     (un)normalization of either state. Orthogonal pairs are a hard error,
     never a large-number fallback."""
-    ov = inner(psi_f, psi_i)
+    return _weak_value(inner(psi_f, psi_i), psi_i, psi_f, A)
+
+
+def _weak_value(ov: complex, psi_i: StateVector, psi_f: StateVector, A: Operator) -> complex:
+    """`weak_value` with the overlap ov = <psi_f|psi_i> given."""
     scale = psi_i.norm() * psi_f.norm()
     if abs(ov) <= OVERLAP_EPS * scale:
         raise NullPostselectionError("undefined weak value: <psi_f|psi_i> = 0", ov)
@@ -141,7 +146,7 @@ def orthogonal_complement_state(psi_i: StateVector, A: Operator) -> StateVector:
         raise ValueError("psi_i is an eigenstate of A: orthogonal complement undefined")
     mean = expectation(A, psi_i).real
     shifted = apply(A, psi_i).amplitudes - mean * psi_i.amplitudes
-    return StateVector(dim=psi_i.dim, amplitudes=shifted / sqrt(var))
+    return StateVector(dim=psi_i.dim, amplitudes=_read_only(shifted / sqrt(var)))
 
 
 def postselection_state_fixed_Ps(psi_i: StateVector, A: Operator, target_ps: float,
@@ -185,6 +190,14 @@ def _meter(eta: complex, *_zero_signs: float):
     return space, coherent_state(space, eta), op_number(space)
 
 
+@lru_cache(maxsize=32)
+def _equal_superposition(two_j: int, m1: float, m2: float) -> StateVector:
+    """(|j,m1> + |j,m2>)/sqrt2, the initial state psi_i of the collective
+    families, built once per (two_j, m1, m2) and shared (it is frozen).
+    32 entries hold every psi_i of a scripts/run_scaling.py pass."""
+    return superpose_dicke(SpinSpace(two_j), [(m1, 1.0), (m2, 1.0)])
+
+
 def _require_integer_j(two_j: int, what: str):
     if two_j % 2 != 0:
         raise ValueError(f"{what} requires integer j (even two_j); got two_j = {two_j}")
@@ -200,7 +213,7 @@ def strategy_linear_optimal(two_j: int, a_w_target: float, *, g: float = DEFAULT
     """
     space = SpinSpace(two_j)
     j = space.j
-    psi_i = superpose_dicke(space, [(j, 1.0), (-j, 1.0)])
+    psi_i = _equal_superposition(two_j, j, -j)
     psi_f = superpose_dicke(space, [(j, j + a_w_target), (-j, j - a_w_target)])
     A = collective_op(space, "jz")
     meter_space, phi_i, B = _default_meter(eta)
@@ -218,7 +231,7 @@ def strategy_linear_fixed_sigma(two_j: int, probe_ps: float, *, g: float = DEFAU
     target = two_j * probe_ps
     if not 0.0 < target < 1.0:
         raise ValueError(f"2j * probe_ps = {target} must lie strictly between 0 and 1")
-    psi_i = superpose_dicke(space, [(j, 1.0), (-j, 1.0)])
+    psi_i = _equal_superposition(two_j, j, -j)
     A = collective_op(space, "jz")
     psi_f = postselection_state_fixed_Ps(psi_i, A, target)
     meter_space, phi_i, B = _default_meter(eta)
@@ -240,7 +253,7 @@ def strategy_nonlinear_joint(two_j: int, kappa: float, *, g: float = DEFAULT_G,
     j = space.j
     if kappa <= 0.0 or kappa * j**2 >= 0.1:
         raise ValueError(f"need 0 < kappa * j^2 < 0.1; got {kappa * j**2:.3g}")
-    psi_i = superpose_dicke(space, [(0.0, 1.0), (-j, 1.0)])
+    psi_i = _equal_superposition(two_j, 0.0, -j)
     A = nonlinear_observable(space)
     psi_f = postselection_state_fixed_Ps(psi_i, A, kappa * j**2, approx_small_ps=True)
     meter_space, phi_i, B = _default_meter(eta)
@@ -257,7 +270,7 @@ def strategy_near_deterministic(two_j: int, epsilon: float, *, g: float = DEFAUL
         raise ValueError("epsilon must lie strictly between 0 and 1")
     space = SpinSpace(two_j)
     j = space.j
-    psi_i = superpose_dicke(space, [(0.0, 1.0), (-j, 1.0)])
+    psi_i = _equal_superposition(two_j, 0.0, -j)
     A = nonlinear_observable(space)
     root = sqrt(epsilon)
     psi_f = superpose_dicke(space, [(0.0, 1.0 + root), (-j, 1.0 - root)])
@@ -336,13 +349,13 @@ def evolved_joint(strategy: WeakValueStrategy) -> StateVector:
         block = np.zeros((dim_s, dim_m), dtype=complex)
         block[rows] = (np.outer(psi[rows], strategy.phi_i.amplitudes)
                        * np.exp(-1j * strategy.g * np.outer(a_diag, b_diag)))
-        return StateVector(dim=dim_s * dim_m, amplitudes=block.ravel())
+        return StateVector(dim=dim_s * dim_m, amplitudes=_read_only(block).ravel())
     lam, v = np.linalg.eigh(strategy.A.dense())
     _require_finite_phase(-1j * float(strategy.g) * (_largest_abs(lam) * b_max),
                           strategy.g, "exact-kick phase g a b")
     block = v @ (np.outer(v.conj().T @ strategy.psi_i.amplitudes, strategy.phi_i.amplitudes)
                  * np.exp(-1j * strategy.g * np.outer(lam, b_diag)))
-    return StateVector(dim=dim_s * dim_m, amplitudes=block.ravel())
+    return StateVector(dim=dim_s * dim_m, amplitudes=_read_only(block).ravel())
 
 
 def postselect(strategy: WeakValueStrategy) -> PostselectionResult:

@@ -378,15 +378,53 @@ def test_an_overflowing_kick_phase_exits_2(capsys):
         assert captured.err == f"error: {phase}\n"
 
 
+def run_fresh(argv):
+    """One CLI call in a fresh interpreter, where warnings are not errors."""
+    code = "import sys; from wva_lab.cli import run; sys.exit(run(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          cwd=pathlib.Path(__file__).resolve().parents[1] / "src")
+
+
 def test_an_overflowing_kick_phase_prints_one_error_line():
     # a fresh process, where NumPy's RuntimeWarnings used to reach stderr
-    code = "import sys; from wva_lab.cli import run; sys.exit(run(sys.argv[1:]))"
-    out = subprocess.run([sys.executable, "-c", code, *KICK_OVERFLOW],
-                         capture_output=True, text=True, timeout=60,
-                         cwd=pathlib.Path(__file__).resolve().parents[1] / "src")
+    out = run_fresh(KICK_OVERFLOW)
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr == "error: g = 1e+308 makes the exact-kick phase g a b overflow\n"
+
+
+def test_fisher_with_an_overflowing_kick_phase_prints_one_error_line():
+    # it printed the two-line `|eta g A_w| ~ inf` weak-kick warning first
+    out = run_fresh(["fisher", *KICK_OVERFLOW[1:]])
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == "error: g = 1e+308 makes the exact-kick phase g a b overflow\n"
+
+
+HUGE_WEAK_VALUE = ["weak-value", "--two-j", "10", "--a-w", "1e300"]
+#: (j + A_w, j - A_w) round to (1e300, -1e300): psi_f is orthogonal to psi_i
+HUGE_WEAK_VALUE_ERROR = "error: undefined weak value: <psi_f|psi_i> = 0\n"
+
+
+def test_a_weak_value_target_whose_norm_overflows_is_a_null_postselection(capsys):
+    # it printed `overflow encountered in dot` and called the finite
+    # coefficients (5.0, 1e+300), (-5.0, -1e+300) not finite, exit 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(HUGE_WEAK_VALUE) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == HUGE_WEAK_VALUE_ERROR
+    out = run_fresh(HUGE_WEAK_VALUE)
+    assert (out.returncode, out.stdout, out.stderr) == (1, "", HUGE_WEAK_VALUE_ERROR)
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    code = "import sys, wva_lab.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, cwd=pathlib.Path(__file__).resolve().parents[1] / "src")
+    assert (out.returncode, out.stdout, out.stderr) == (0, "False\n", "")
 
 
 @pytest.mark.parametrize("argv", [

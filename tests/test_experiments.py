@@ -130,9 +130,10 @@ def test_sweep_record_evolves_once_and_runs_no_measurement_circuit(monkeypatch, 
 
 def test_sweep_threaded_matches_serial():
     serial = sweep("nonlinear_joint", range(4, 13, 2), 1e-4, with_circuits=False)
-    threaded = sweep("nonlinear_joint", range(4, 13, 2), 1e-4, with_circuits=False,
-                     max_workers=4)
-    assert serial == threaded
+    for workers in (2, 4):
+        threaded = sweep("nonlinear_joint", range(4, 13, 2), 1e-4, with_circuits=False,
+                         max_workers=workers)
+        assert serial == threaded
 
 
 def test_fit_synthetic_square():

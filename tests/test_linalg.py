@@ -152,3 +152,31 @@ def test_apply_and_expectation_diagonal_path(rng):
     dense = Operator(3, op.dense(), hermitian=True)
     assert expectation(op, sv) == pytest.approx(expectation(dense, sv))
     np.testing.assert_allclose(apply(op, sv).amplitudes, op.dense() @ sv.amplitudes)
+
+
+def test_a_constructor_copies_what_it_cannot_adopt():
+    amps = np.array([0.6, 0.8j])
+    # a writable array is copied, and stays writable for its owner
+    sv = StateVector(2, amps)
+    assert not np.shares_memory(sv.amplitudes, amps) and amps.flags.writeable
+    # a read-only view of writable memory is copied: the base can still change
+    base = np.array([0.6, 0.8j, 0.0])
+    view = base[:2]
+    view.setflags(write=False)
+    assert not np.shares_memory(StateVector(2, view).amplitudes, base)
+    # so is a read-only array of another dtype
+    real = np.array([1.0, 0.0])
+    real.setflags(write=False)
+    assert StateVector(2, real).amplitudes is not real
+    # a read-only owner, or a read-only view of one, is shared
+    amps.setflags(write=False)
+    assert StateVector(2, amps).amplitudes is amps
+    assert Operator(2, amps, diagonal=True).entries is amps
+    base.setflags(write=False)
+    assert StateVector(2, base[:2]).amplitudes.base is base
+
+
+def test_norm_has_the_bits_of_np_linalg_norm(rng):
+    for dim in (1, 2, 7, 401):
+        for sv in (random_state(rng, dim), StateVector.unnormalized(rng.normal(size=dim))):
+            assert sv.norm().hex() == float(np.linalg.norm(sv.amplitudes)).hex()

@@ -54,6 +54,49 @@ def test_superpose_examples():
         superpose_dicke(sp, [(1, 1.0), (1, -1.0)])
 
 
+def _plain_superposition(sp, terms):
+    """The normalization as it was before overflowing norms were rescaled."""
+    amps = np.zeros(sp.dim, dtype=complex)
+    with np.errstate(over="ignore"):
+        for m, coeff in terms:
+            amps[sp.index_of(m)] += coeff
+        return amps / np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize("terms", [
+    [(5, 1.0), (-5, 1.0)],
+    [(0, 1.0 + 0.1), (-5, 1.0 - 0.1), (0, 1e-3j)],
+    [(5, 3e153), (-5, -1e153j)],  # below the pre-check bound
+    [(5, 4e153), (-5, 4e153)],  # above it: the plain norm 5.7e153 is still finite
+    [(5, 1e-150), (4, 3e-150)],
+], ids=["equal", "repeated_level", "below_bound", "above_bound_finite_norm", "tiny"])
+def test_a_superposition_with_a_finite_norm_keeps_its_bits(terms):
+    sp = SpinSpace(10)
+    assert (superpose_dicke(sp, terms).amplitudes.tobytes()
+            == _plain_superposition(sp, terms).tobytes())
+
+
+def test_a_superposition_whose_norm_overflows_is_rescaled():
+    # it printed NumPy's `overflow encountered in dot` and then called the
+    # finite coefficients not finite; warnings are errors here
+    sp = SpinSpace(10)
+    psi = superpose_dicke(sp, [(5.0, 1e300), (-5.0, -1e300)])
+    assert psi.amplitudes[0] == -psi.amplitudes[-1] == 1 / np.sqrt(2)
+    assert not np.any(psi.amplitudes[1:-1])
+    # two terms at one level whose sum overflows, and complex parts
+    psi = superpose_dicke(sp, [(5.0, 1e308), (5.0, 1e308), (0.0, 1.0)])
+    assert psi.amplitudes[0] == 1.0 and psi.amplitudes[5] == 0.5e-308
+    psi = superpose_dicke(sp, [(0.0, complex(1e308, -1e308))])
+    assert psi.amplitudes[5] == complex(1.0, -1.0) / np.sqrt(2)
+
+
+@pytest.mark.parametrize("coeff", [np.inf, -np.inf, np.nan, complex(0.0, np.inf),
+                                   complex(np.nan, 0.0)])
+def test_a_non_finite_coefficient_is_named(coeff):
+    with pytest.raises(ValueError, match="superposition coefficients must be finite"):
+        superpose_dicke(SpinSpace(4), [(0, 1.0), (2, coeff)])
+
+
 def test_jz_action():
     for two_j in range(1, 11):
         sp = SpinSpace(two_j)
