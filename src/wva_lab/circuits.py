@@ -211,10 +211,12 @@ def prep_circuit(two_j: int, m1: float, m2: float, alpha: complex, beta: complex
     )
 
 
+@lru_cache(maxsize=64)
 def _plus_all_weight(two_j: int, index: int) -> float:
     """|<+^(2j)|j,m>|^2 = C(2j, j+m) / 2^(2j) for the level at `index`, by
     exact integer division (correctly rounded; a float power of two times the
-    binomial overflows from two_j ~ 1030)."""
+    binomial overflows from two_j ~ 1030), computed once per (two_j, index):
+    a scripts/run_scaling.py pass needs 33 entries."""
     return comb(two_j, two_j - index) / (1 << two_j)
 
 

@@ -18,7 +18,14 @@ validation in this module is the executable check of that convention.
 
 The oscillating model is solved exactly, not integrated: it is a frame
 rotation of a static Hamiltonian, diagonalized and held per block of the
-conserved charge 2Jz + n (see `_frame_propagator`). The solver, the
+conserved charge 2Jz + n, and only on the blocks whose charge psi0 touches
+(see `_frame_propagator`). That eigenbasis depends only on (two_j,
+fock_cutoff, g0, delta_minus) and psi0's charges, so it is solved once per
+model and support and shared read-only (`_block_eigenbasis`); a call applies
+only V^dag psi0 to it, and the two generators of one model share it. The
+fidelity at every grid point comes from phase tables of about
+sqrt(grid points) rows, each the product of two of about its own square
+root (`_fidelity_scan`). The solver, the
 fidelity scan and the diagnostics read the model from vectors
 (`_model_vectors`): m, the superdiagonal of J+, the one nonzero diagonal of
 a^2 and the charge, with the element formulas of the dense operators, so no
@@ -252,55 +259,89 @@ def conservation_residual(params: TwoPhotonTCParams, t: float = 0.237) -> float:
 
 #: Largest number of complex entries in a phase table or an output block of
 #: the fidelity scan (`_fidelity_scan`); it caps the scan's memory, not its
-#: step. Where F pairs times sqrt(grid points) exceed it, the fine table
-#: narrows and the coarse rows run in groups.
+#: square-root split of the grid. Where F pairs times sqrt(grid points)
+#: exceed it, the pairs run in groups whose amplitudes are summed.
 CHUNK_ELEMENTS = 2**13
 
 
 def _frame_propagator(params: TwoPhotonTCParams, psi0: StateVector):
-    """Exact solution of the oscillating model as a frame rotation.
+    """Exact solution of the oscillating model as a frame rotation, on the
+    charge blocks where psi0 has weight.
 
     H(t) = e^{i d Jz t} K e^{-i d Jz t} with K = g0 (J+ a^2 + J- a^dag^2), so
     psi(t) = e^{i d Jz t} V e^{-i lambda t} V^dag psi0 exactly, where
     K + d Jz = V diag(lambda) V^dag. K couples |m,n> only to |m+-1,n-+2>, so
-    K + d Jz is block diagonal in the charge 2Jz + n, and V is held only per
-    block. A block's members, in joint-index order, run |m,n>, |m-1,n+2>, ..;
-    its generator has d m on the diagonal and the real element
-    g0 <m,n| J+ a^2 |m-1,n+2> between neighbours. The blocks of one size are
-    diagonalized by one stacked `eigh`. Returns (d Jz diagonal, blocks), one
-    (idx, lambda, V, V^dag psi0[idx]) per block size, with shapes (b, s),
-    (b, s), (b, s, s) and (b, s): V[b, :, k] is eigenvector k of block b on
-    the joint indices idx[b]."""
+    K + d Jz is block diagonal in the charge 2Jz + n, V is held only per
+    block, and a block on which psi0 vanishes stays zero: only the blocks
+    whose charge psi0 touches are diagonalized (`_block_eigenbasis`, kept
+    per model and support), and a call applies only V^dag psi0 to them.
+    Returns (d Jz diagonal, blocks), one (idx, lambda, V, V^dag psi0[idx])
+    per block size with a live block, with shapes (b, s), (b, s), (b, s, s)
+    and (b, s): V[b, :, k] is eigenvector k of live block b on the joint
+    indices idx[b]."""
     if abs(psi0.norm() - 1.0) > 1e-10:
         raise ValueError("psi0 must be normalized")
     if psi0.dim != params.joint_dim:
         raise ValueError("psi0 must live on the joint space")
-    model = _model_vectors(params)
-    d_jz = params.delta_minus * model.m_joint
-    blocks = []
+    model, amps = _model_vectors(params), psi0.amplitudes
+    touched = np.zeros(2 * params.two_j + params.fock_cutoff + 1, dtype=bool)
+    touched[_charge_levels(model.charge[amps != 0], params.two_j)] = True
+    # keyed by the float bits, so that g0 = 0.0 and -0.0 never share an entry
+    bases = _block_eigenbasis(params.two_j, params.fock_cutoff, float(params.g0).hex(),
+                              float(params.delta_minus).hex(), touched.tobytes())
+    return params.delta_minus * model.m_joint, [
+        (idx, evals, evecs, np.einsum("bik,bi->bk", evecs.conj(), amps[idx]))
+        for idx, evals, evecs in bases]
+
+
+def _charge_levels(charge: np.ndarray, two_j: int) -> np.ndarray:
+    """The charges 2Jz + n as indices 2Jz + n + 2j = 0 .. 4j + cutoff."""
+    return (charge + two_j).astype(np.intp)
+
+
+@lru_cache(maxsize=16)
+def _block_eigenbasis(two_j: int, fock_cutoff: int, g0_hex: str, delta_hex: str,
+                      touched: bytes):
+    """One read-only (idx, lambda, V) per block size, over the charge
+    blocks whose charge is marked in `touched` (the bytes of a boolean array
+    over `_charge_levels`) and over nothing else, for the model with g0 and
+    delta_minus given by their `float.hex`. A block's members, in
+    joint-index order, run |m,n>, |m-1,n+2>, ..; its generator has d m on
+    the diagonal and the real element g0 <m,n| J+ a^2 |m-1,n+2> between
+    neighbours. The live blocks of one size are diagonalized by one stacked
+    `eigh`."""
+    model = _register_model(two_j, fock_cutoff)
+    g0, d_jz = float.fromhex(g0_hex), float.fromhex(delta_hex) * model.m_joint
+    touched = np.frombuffer(touched, dtype=bool)
+    every = touched.all()  # a psi0 of full support takes every block as it is
+    bases = []
     for idx, diag, coupling in model.blocks:
+        if not every:
+            live = touched[_charge_levels(model.charge[idx[:, 0]], two_j)]
+            if not live.any():
+                continue
+            idx, coupling = idx[live], coupling[live]
         gen = np.zeros(idx.shape + idx.shape[1:])
         gen[:, diag, diag] = d_jz[idx]
         # multiplied as g0 * (J+ * a^2) like np.kron in `_ladder_parts`, so
         # the blocks equal those of the dense generator bit for bit
-        gen[:, diag[:-1], diag[1:]] = gen[:, diag[1:], diag[:-1]] = params.g0 * coupling
-        evals, evecs = np.linalg.eigh(gen)
-        coeffs = np.einsum("bik,bi->bk", evecs.conj(), psi0.amplitudes[idx])
-        blocks.append((idx, evals, evecs, coeffs))
-    return d_jz, blocks
+        gen[:, diag[:-1], diag[1:]] = gen[:, diag[1:], diag[:-1]] = g0 * coupling
+        bases.append(_frozen(idx, *np.linalg.eigh(gen)))
+    return tuple(bases)
 
 
 def _full_states(frame, times):
     """Full states at `times`, one read-only row per time, and their largest
-    norm drift |norm - 1|. Each norm is sqrt(re.re + im.im) from one stacked
-    (1 x dim) @ (dim x 1) product per part, the BLAS dot np.linalg.norm
-    takes row by row, so the drift keeps its bits."""
+    norm drift |norm - 1|; entries outside the frame's blocks are +0.0.
+    Each norm is sqrt(re.re + im.im) from one stacked (1 x dim) @ (dim x 1)
+    product per part, the BLAS dot np.linalg.norm takes row by row, so the
+    drift keeps its bits."""
     d_jz, blocks = frame
-    amps = np.empty((times.size, d_jz.size), dtype=complex)
+    amps = np.zeros((times.size, d_jz.size), dtype=complex)
     for idx, evals, evecs, coeffs in blocks:
         rotated = np.exp(-1j * evals * times[:, None, None]) * coeffs
-        amps[:, idx] = np.einsum("bik,tbk->tbi", evecs, rotated)
-    amps *= np.exp(1j * d_jz * times[:, None])
+        amps[:, idx] = (np.einsum("bik,tbk->tbi", evecs, rotated)
+                        * np.exp(1j * d_jz[idx] * times[:, None, None]))
     amps.setflags(write=False)
     re, im = amps.real, amps.imag
     norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])
@@ -346,18 +387,42 @@ def _pair_terms(psi0: StateVector, frame, gen):
     sum_f W_f e^{i w_f t}.
 
     With G = `gen` the effective generator diagonal, r = G + d Jz and
-    c = V^dag psi0, the sum runs over the same-block pairs (l, k) with
-    W_lk = conj(c_k) conj(V_lk) psi0_l and w_lk = lambda_k - r_l; rows with
-    psi0_l = 0 contribute 0 and are dropped."""
+    c = V^dag psi0, the sum runs over the same-block pairs (l, k) of the
+    frame's blocks with W_lk = conj(c_k) conj(V_lk) psi0_l and
+    w_lk = lambda_k - r_l; rows with psi0_l = 0 contribute 0 and are
+    dropped."""
     d_jz, blocks = frame
-    rate = gen + d_jz
     weights, freqs = [], []
     for idx, evals, evecs, coeffs in blocks:
         amps = psi0.amplitudes[idx]
         live = amps != 0
         weights.append((np.conj(coeffs[:, None, :] * evecs) * amps[:, :, None])[live].ravel())
-        freqs.append((evals[:, None, :] - rate[idx][:, :, None])[live].ravel())
+        freqs.append((evals[:, None, :] - (gen[idx] + d_jz[idx])[:, :, None])[live].ravel())
     return np.concatenate(weights), np.concatenate(freqs)
+
+
+def _phase_table(freqs, step: float, count: int, weights=None) -> np.ndarray:
+    """e^{i w k step} at k = 0..count-1, one row per k, times `weights` if
+    given.
+
+    k splits as k = h L + l with L = ceil(sqrt(count)), so the table is the
+    product of a weighted one over h and one over l, each of about
+    sqrt(count) rows. Each of those is written as cos and sin into one
+    complex buffer (on x86-64 with NumPy 2.4, the bits of np.exp(1j * phase)
+    at about 70% of its cost)."""
+    low = isqrt(count - 1) + 1
+    high = -(-count // low)
+    strides = np.arange(high + low, dtype=float)  # h L for the outer rows, l for the inner
+    strides[:high] *= low
+    strides[high:] -= high
+    phase = freqs * (step * strides[:, None])
+    table = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=table.real)
+    np.sin(phase, out=table.imag)
+    outer, inner = table[:high], table[high:]
+    if weights is not None:
+        outer *= weights
+    return (outer[:, None, :] * inner).reshape(-1, freqs.size)[:count]
 
 
 def _fidelity_scan(weights, freqs, nsteps: int, dt: float) -> np.ndarray:
@@ -365,21 +430,33 @@ def _fidelity_scan(weights, freqs, nsteps: int, dt: float) -> np.ndarray:
 
     The grid index splits as k = a C + b with C = ceil(sqrt(nsteps + 1)), so
     e^{i w k dt} = e^{i w a C dt} e^{i w b dt}. The fine table over b
-    (C x F) and the weighted coarse table over a (R x F) then give every
-    amplitude at once as coarse @ fine^T, whose rows read k in order, from
-    about 2 sqrt(nsteps) F complex exponentials. Where F C exceeds
-    CHUNK_ELEMENTS, C shrinks to fit, and the coarse rows run in groups
-    that keep each table and output block within it."""
-    points, pairs = nsteps + 1, freqs.size
-    cols = max(min(isqrt(points - 1) + 1, CHUNK_ELEMENTS // pairs), 1)
+    (C x F) and the weighted coarse table over a (R x F, R <= C) then give
+    every amplitude at once as coarse @ fine^T, whose rows read k in order;
+    each table is itself the product of two of about nsteps^(1/4) rows
+    (`_phase_table`). The product and |.|^2 run in blocks of coarse rows
+    into one reused buffer and straight into the fidelity row. Each table
+    and output block holds at most CHUNK_ELEMENTS entries: where F C exceeds
+    it, the pairs run in groups whose amplitudes are summed first."""
+    points = nsteps + 1
+    cols = isqrt(points - 1) + 1
     rows = -(-points // cols)
-    group = max(CHUNK_ELEMENTS // max(pairs, cols), 1)
-    fine = np.exp(1j * freqs * (dt * np.arange(cols)[:, None]))
+    width = max(CHUNK_ELEMENTS // cols, 1)  # pairs per table, rows per output block
     fids = np.empty((rows, cols))
-    for first in range(0, rows, group):
-        starts = np.arange(first, min(first + group, rows)) * cols
-        coarse = np.exp(1j * freqs * (starts * dt)[:, None]) * weights
-        fids[first:first + starts.size] = np.abs(coarse @ fine.T) ** 2
+    block = np.empty((min(width, rows), cols), dtype=complex)
+    total = np.zeros((rows, cols), dtype=complex) if freqs.size > width else None
+    for first in range(0, freqs.size, width):
+        group = slice(first, first + width)
+        fine = _phase_table(freqs[group], dt, cols).T
+        coarse = _phase_table(freqs[group], cols * dt, rows, weights[group])
+        for top in range(0, rows, width):
+            amps = np.matmul(coarse[top:top + width], fine, out=block[:min(width, rows - top)])
+            if total is None:
+                np.abs(amps, out=fids[top:top + width])
+            else:
+                total[top:top + width] += amps
+    if total is not None:
+        np.abs(total, out=fids)
+    np.square(fids, out=fids)
     return fids.ravel()[:points]
 
 

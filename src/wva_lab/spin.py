@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
+from math import frexp, ldexp
 
 import numpy as np
 
@@ -69,7 +70,9 @@ def superpose_dicke(space: SpinSpace, terms) -> StateVector:
     Normalization divides by the real norm only, so the complex phase of the
     coefficients is preserved (a single term (m, 7i) yields amplitude i).
     Every coefficient must be finite. Where the norm would overflow, the
-    coefficients are divided by their largest real or imaginary part first.
+    coefficients are divided by their largest real or imaginary part first;
+    where its square falls below the normal float range, they are scaled up
+    by the power of two that brings that part to [1/2, 1), which is exact.
     """
     if not terms:
         raise ValueError("superpose_dicke needs at least one term")
@@ -81,6 +84,12 @@ def superpose_dicke(space: SpinSpace, terms) -> StateVector:
     if sum(parts) < _SAFE_COEFFICIENT_SUM:
         amps = _summed_terms(space, terms)
         nrm = np.linalg.norm(amps)
+        if nrm < 2.0**-511:  # its square fell below 2^-1022 and may have lost digits
+            scale = -frexp(max(parts))[1]
+            amps = _summed_terms(space, [(m, complex(ldexp(coeff.real, scale),
+                                                    ldexp(coeff.imag, scale)))
+                                         for m, coeff in terms])
+            nrm = np.linalg.norm(amps)
     else:  # the plain sum where its norm stays finite, so that every finite norm keeps its bits
         with np.errstate(over="ignore", invalid="ignore"):
             amps = _summed_terms(space, terms)

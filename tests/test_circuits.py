@@ -299,6 +299,7 @@ def test_prep_closed_form_skips_the_central_binomial_where_the_edge_underflows(m
         return real(n, k)
 
     monkeypatch.setattr(C, "comb", spy)
+    C._plus_all_weight.cache_clear()  # a memoized weight builds no binomial
     two_j = 100_000
     assert C.prep_probability_analytic(two_j, 0, -two_j // 2) == 0.0
     (record,) = sweep("near_deterministic", [two_j], 0.04, g=1e-11)
@@ -308,6 +309,12 @@ def test_prep_closed_form_skips_the_central_binomial_where_the_edge_underflows(m
     built.clear()
     assert C.prep_probability_analytic(8, -4, 0) == 70 * 2.0**-16
     assert sorted(k for _, k in built) == [0, 4]
+    # a second call reads both weights from the memo
+    built.clear()
+    assert C.prep_probability_analytic(8, -4, 0) == 70 * 2.0**-16
+    assert C.measure_probability_analytic(8, -4, 0, "plus_all", 1.0) == \
+        (2.0**-8 * 70 * 2.0**-8) / (2.0**-8 + 70 * 2.0**-8)
+    assert built == []
 
 
 @pytest.mark.parametrize("two_j", [4, 100, 400, 600, 1000, 1030, 1100, 2000])

@@ -19,6 +19,7 @@ from wva_lab.dynamics import (
 )
 from wva_lab.linalg import Operator, StateVector, fidelity
 from wva_lab.spin import SpinSpace, collective_op, dicke_state, nonlinear_observable
+from wva_lab.wva import strategy_near_deterministic
 from wva_lab.boson import op_number
 
 from conftest import random_state, spy_everywhere
@@ -28,6 +29,7 @@ from chunked_scan_oracle import (
     statevector_effective_states,
     statevector_full_states,
 )
+from all_block_frame_oracle import all_block_frame
 from dense_frame_oracle import dense_evolve, dense_fidelities, hamiltonian_full
 from dense_operator_oracle import expm_i, tensor
 from rk4_oracle import rk4_derivative, rk4_evolve
@@ -336,6 +338,34 @@ def test_readme_fidelity_scan_stays_within_its_blocks():
     assert peak < 1.5e6
 
 
+@pytest.mark.parametrize("cap", [2**6, 2**10, 2**13])
+def test_the_scan_cap_bounds_its_tables_not_its_split(monkeypatch, cap):
+    # the README grid splits at C = ceil(sqrt(78,541)) = 281 into R = 280
+    # coarse rows whatever the cap; below F C = 17 x 281 the pairs run in
+    # groups, each table holds at most max(cap, C) entries, and the summed
+    # groups agree with the one-group scan
+    p, psi0 = readme_case()
+    nsteps, dt, _ = dynamics.time_grid(p)
+    gen = effective_generator_diag(p)
+    weights, freqs = dynamics._pair_terms(psi0, _frame_propagator(p, psi0), gen)
+    one_group = dynamics._fidelity_scan(weights, freqs, nsteps, dt)
+    shapes = []
+    real_table = dynamics._phase_table
+
+    def spy(*args):
+        table = real_table(*args)
+        shapes.append(table.shape)
+        return table
+
+    monkeypatch.setattr(dynamics, "CHUNK_ELEMENTS", cap)
+    monkeypatch.setattr(dynamics, "_phase_table", spy)
+    fids = dynamics._fidelity_scan(weights, freqs, nsteps, dt)
+    assert {rows for rows, _ in shapes} == {281, 280}
+    assert sum(pairs for _, pairs in shapes) == 2 * freqs.size
+    assert all(rows * pairs <= max(cap, 281) for rows, pairs in shapes)
+    assert np.max(np.abs(fids - one_group)) <= 1e-14
+
+
 def scan_case(name, rng):
     if name == "readme":
         return readme_case()
@@ -362,12 +392,12 @@ def test_split_scan_matches_the_chunked_oracle(rng, name, commutator):
     frame = _frame_propagator(p, psi0)
     gen = dynamics.effective_generator_diag(p, commutator)
     weights, freqs = dynamics._pair_terms(psi0, frame, gen)
-    cols = isqrt(nsteps) + 1  # ceil(sqrt(nsteps + 1)), before the cap
+    cols = isqrt(nsteps) + 1  # ceil(sqrt(nsteps + 1)), the split
     if name == "ragged":
         assert (nsteps + 1) % cols != 0
     if name == "one-step":
         assert nsteps == 1
-    if name == "random-large":
+    if name == "random-large":  # the pairs run in groups
         assert freqs.size * cols > dynamics.CHUNK_ELEMENTS
     fids = dynamics._fidelity_scan(weights, freqs, nsteps, dt)
     oracle = chunked_fidelities(weights, freqs, nsteps, dt)
@@ -386,15 +416,150 @@ def test_trace_arrays_equal_the_old_statevectors(rng, name, commutator):
     store_every = 200 if name == "readme" else 7
     _, trace = effective_model_fidelity(p, psi0, store_every=store_every,
                                         include_commutator_terms=commutator)
-    states, drift = statevector_full_states(_frame_propagator(p, psi0), trace.times)
+    # the old path solved every charge block; on a block psi0 does not
+    # touch it wrote +-0.0, where the restricted frame leaves exact zeros
+    states, drift = statevector_full_states(all_block_frame(p, psi0), trace.times)
     old_eff = statevector_effective_states(p, psi0, store_every, commutator)
     assert trace.full_states.shape == trace.effective_states.shape == (len(states), p.joint_dim)
     assert not trace.full_states.flags.writeable and not trace.effective_states.flags.writeable
-    assert trace.full_states.tobytes() == np.array([s.amplitudes for s in states]).tobytes()
+    old_full = np.array([s.amplitudes for s in states])
+    live = live_indices(p, psi0)
+    assert trace.full_states[:, live].tobytes() == old_full[:, live].tobytes()
+    assert np.array_equal(trace.full_states, old_full)
     assert trace.effective_states.tobytes() == \
         np.array([s.amplitudes for s in old_eff]).tobytes()
     assert trace.max_norm_drift == drift
     assert charge_drift(p, trace) == loop_charge_drift(conserved_charge(p).entries.real, states)
+
+
+def live_indices(p, psi0):
+    """The joint indices whose charge 2Jz + n psi0 touches, read from
+    `conserved_charge` rather than from the solver's blocks."""
+    charge = conserved_charge(p).entries.real
+    return np.flatnonzero(np.isin(charge, charge[psi0.amplitudes != 0]))
+
+
+def near_deterministic_case(two_j, t_final=1.0):
+    """psi_i of the near_deterministic family (|j,0> + |j,-j>)/sqrt2 (x)
+    coherent(0.1) at cutoff 10: 2 x 11 amplitudes on 22 distinct charges."""
+    p = make_params(two_j=two_j, fock_cutoff=10, t_final=t_final)
+    meter = coherent_state(FockSpace(10, tail_tolerance=1e-6), 0.1)
+    psi_i = strategy_near_deterministic(two_j, 0.01).psi_i
+    return p, StateVector(p.joint_dim, np.kron(psi_i.amplitudes, meter.amplitudes))
+
+
+def restriction_case(name, rng):
+    if name == "near_deterministic":
+        return near_deterministic_case(16, t_final=20.0)
+    if name == "sparse-random":
+        # a random psi0 on 5 random joint indices of a (12, 20) register
+        p, _ = block_oracle_case(rng, 12, 20)
+        amps = np.zeros(p.joint_dim, dtype=complex)
+        amps[rng.choice(p.joint_dim, 5, replace=False)] = rng.normal(size=5) + 1j
+        return p, StateVector.of(amps)
+    return scan_case(name, rng)
+
+
+@pytest.mark.parametrize("commutator", [False, True])
+@pytest.mark.parametrize("name", ["readme", "two_j=8", "near_deterministic", "sparse-random",
+                                  "random-large"])
+def test_restricted_frame_equals_the_all_block_oracle(rng, name, commutator):
+    p, psi0 = restriction_case(name, rng)
+    frame, oracle = _frame_propagator(p, psi0), all_block_frame(p, psi0)
+    live = live_indices(p, psi0)
+    dead = np.setdiff1d(np.arange(p.joint_dim), live)
+    assert np.array_equal(np.sort(np.concatenate([b[0].ravel() for b in frame[1]])), live)
+    if name == "random-large":
+        assert dead.size == 0
+    nsteps, dt, stored = dynamics.time_grid(p, 7)
+    full, drift = dynamics._full_states(frame, stored * dt)
+    old_full, old_drift = dynamics._full_states(oracle, stored * dt)
+    assert full[:, live].tobytes() == old_full[:, live].tobytes()
+    assert full[:, dead].tobytes() == bytes(full[:, dead].nbytes)  # +0.0 only
+    assert drift == old_drift
+    gen = effective_generator_diag(p, commutator)
+    terms = dynamics._pair_terms(psi0, frame, gen)
+    old_terms = dynamics._pair_terms(psi0, oracle, gen)
+    assert [a.tobytes() for a in terms] == [a.tobytes() for a in old_terms]
+    fids = dynamics._fidelity_scan(*old_terms, nsteps, dt)
+    min_fid, trace = effective_model_fidelity(p, psi0, store_every=7,
+                                              include_commutator_terms=commutator)
+    assert min_fid == np.min(fids)
+    assert trace.fidelities.tobytes() == fids[stored].tobytes()
+    assert trace.full_states.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("two_j", [16, 4096])
+def test_eigh_sees_only_the_live_blocks(monkeypatch, two_j):
+    p, psi0 = near_deterministic_case(two_j)
+    solved = []
+    real_eigh = np.linalg.eigh
+
+    def spy(a):
+        solved.append(a.shape[0])
+        return real_eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    dynamics._block_eigenbasis.cache_clear()
+    effective_model_fidelity(p, psi0)
+    assert sum(solved) == 22
+    solved.clear()  # a second call, with the other generator, solves nothing
+    effective_model_fidelity(p, psi0, include_commutator_terms=True)
+    assert solved == []
+
+
+def test_block_memo_holds_one_entry_per_model_and_support(rng):
+    dynamics._block_eigenbasis.cache_clear()
+    p, psi0 = near_deterministic_case(8)
+    for commutator in (False, True):
+        effective_model_fidelity(p, psi0, include_commutator_terms=commutator)
+    # another state on the same charges reuses the entry
+    other = StateVector.of(np.where(psi0.amplitudes != 0, rng.normal(size=p.joint_dim), 0.0))
+    effective_model_fidelity(p, other)
+    info = dynamics._block_eigenbasis.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+    # a new support, g0 or delta_minus each make one more entry
+    # |j, cutoff> has charge 2j + cutoff = 18, which psi0 does not touch
+    wider = StateVector.of(psi0.amplitudes + np.eye(p.joint_dim)[p.fock_cutoff])
+    for q, state in [(p, wider), (dataclasses.replace(p, g0=0.03), psi0),
+                     (dataclasses.replace(p, delta_minus=-1.0), psi0)]:
+        effective_model_fidelity(q, state)
+    assert dynamics._block_eigenbasis.cache_info().currsize == 4
+
+
+def test_block_memo_entries_are_read_only_and_equal_a_fresh_solve(rng):
+    p, psi0 = restriction_case("sparse-random", rng)
+    dynamics._block_eigenbasis.cache_clear()
+    cold = model_outputs(p, psi0)
+    assert model_outputs(p, psi0) == cold  # warm
+    charge = conserved_charge(p).entries.real
+    touched = np.isin(np.arange(-p.two_j, p.two_j + p.fock_cutoff + 1),
+                      charge[psi0.amplitudes != 0])
+    key = (p.two_j, p.fock_cutoff, p.g0.hex(), p.delta_minus.hex(), touched.tobytes())
+    entry = dynamics._block_eigenbasis(*key)
+    assert all(a is b for basis, block in zip(entry, _frame_propagator(p, psi0)[1])
+               for a, b in zip(basis, block))
+    arrays = [a for basis in entry for a in basis]
+    fresh = [a for basis in dynamics._block_eigenbasis.__wrapped__(*key) for a in basis]
+    assert [a.tobytes() for a in arrays] == [a.tobytes() for a in fresh]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
+
+
+def test_block_memo_keeps_signed_zeros_apart(rng):
+    # g0 = 0.0 and -0.0 compare equal but give generators with different
+    # bits: each must get its own entry, equal to the all-block oracle's
+    dynamics._block_eigenbasis.cache_clear()
+    p, psi0 = block_oracle_case(rng, 6, 9)
+    for g0 in (0.0, -0.0, 0.0):
+        q = dataclasses.replace(p, g0=g0)
+        frame, oracle = _frame_propagator(q, psi0), all_block_frame(q, psi0)
+        assert [[a.tobytes() for a in block] for block in frame[1]] == \
+            [[a.tobytes() for a in block] for block in oracle[1]]
+    info = dynamics._block_eigenbasis.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 1)
 
 
 def old_generator_diag(p, commutator):
@@ -461,6 +626,7 @@ def test_cold_and_warm_model_caches_give_the_same_bits(rng, two_j, cutoff):
     p, psi0 = block_oracle_case(rng, two_j, cutoff)
     dynamics._register_model.cache_clear()
     dynamics._charge_operator.cache_clear()
+    dynamics._block_eigenbasis.cache_clear()
     cold = model_outputs(p, psi0)
     model_outputs(*block_oracle_case(rng, 3, 5))  # another register in between
     assert model_outputs(p, psi0) == cold

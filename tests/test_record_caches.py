@@ -26,7 +26,7 @@ from conftest import FAMILY_PARAMETERS
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 CACHES = (spin._diagonal_op, wva._equal_superposition, wva._meter, fisher._meter_terms,
-          circuits._dicke_embeddings, circuits._plus_all)
+          circuits._dicke_embeddings, circuits._plus_all, circuits._plus_all_weight)
 
 
 def clear_caches():
@@ -75,6 +75,9 @@ def test_cached_pieces_are_what_a_fresh_build_gives():
                 == circuits._dicke_embeddings.__wrapped__(two_j).tobytes())
         assert (circuits.reference_state(two_j, "plus_all").vector.amplitudes.tobytes()
                 == circuits._plus_all.__wrapped__(two_j).vector.amplitudes.tobytes())
+    for two_j, index in ((4, 2), (600, 300), (600, 600), (2000, 1000)):
+        assert (circuits._plus_all_weight(two_j, index).hex()
+                == circuits._plus_all_weight.__wrapped__(two_j, index).hex())
 
 
 def test_cached_arrays_are_read_only():
@@ -104,6 +107,7 @@ def test_a_cache_holds_one_entry_per_register_and_kind():
     assert fisher._meter_terms.cache_info().currsize == 1  # one eta, one meter
     assert circuits._dicke_embeddings.cache_info().currsize == 1
     assert circuits._plus_all.cache_info().currsize == 1
+    assert circuits._plus_all_weight.cache_info().currsize == 2  # (200, 100), (200, 200)
     assert (wva.strategy_near_deterministic(200, 0.3).A
             is wva.strategy_nonlinear_joint(200, 1e-6).A)
     # a second size gives a second entry in each
@@ -113,6 +117,7 @@ def test_a_cache_holds_one_entry_per_register_and_kind():
     assert wva._equal_superposition.cache_info().currsize == 4
     assert circuits._dicke_embeddings.cache_info().currsize == 2
     assert circuits._plus_all.cache_info().currsize == 2
+    assert circuits._plus_all_weight.cache_info().currsize == 4
     # another kind at a cached size is its own entry
     assert collective_op(SpinSpace(6), "jz") is collective_op(SpinSpace(6), "jz")
     assert spin._diagonal_op.cache_info().currsize == 5
@@ -124,7 +129,7 @@ def test_the_caches_hold_a_run_scaling_pass():
     for _ in range(2):
         record_bits(scaling_runs())
     for cache in (spin._diagonal_op, wva._equal_superposition, circuits._dicke_embeddings,
-                  circuits._plus_all, fisher._meter_terms):
+                  circuits._plus_all, circuits._plus_all_weight, fisher._meter_terms):
         info = cache.cache_info()
         assert info.misses == info.currsize  # the second pass built nothing
 

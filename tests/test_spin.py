@@ -69,7 +69,9 @@ def _plain_superposition(sp, terms):
     [(5, 3e153), (-5, -1e153j)],  # below the pre-check bound
     [(5, 4e153), (-5, 4e153)],  # above it: the plain norm 5.7e153 is still finite
     [(5, 1e-150), (4, 3e-150)],
-], ids=["equal", "repeated_level", "below_bound", "above_bound_finite_norm", "tiny"])
+    [(5, 2e-154), (4, 1e-170j)],  # a norm just above 2^-511: its square is normal
+], ids=["equal", "repeated_level", "below_bound", "above_bound_finite_norm", "tiny",
+        "tiny_normal_square"])
 def test_a_superposition_with_a_finite_norm_keeps_its_bits(terms):
     sp = SpinSpace(10)
     assert (superpose_dicke(sp, terms).amplitudes.tobytes()
@@ -88,6 +90,32 @@ def test_a_superposition_whose_norm_overflows_is_rescaled():
     assert psi.amplitudes[0] == 1.0 and psi.amplitudes[5] == 0.5e-308
     psi = superpose_dicke(sp, [(0.0, complex(1e308, -1e308))])
     assert psi.amplitudes[5] == complex(1.0, -1.0) / np.sqrt(2)
+
+
+@pytest.mark.parametrize("coeff", [1e-170, 1e-160, 5e-324, -3e-320j])
+def test_a_superposition_whose_squared_norm_underflows_is_rescaled(coeff):
+    # 1e-170 squared is 0.0 ("sums to the zero vector"); 1e-160 squared is
+    # subnormal and missed the norm check by 5.6e-6; 5e-324 is subnormal
+    psi = superpose_dicke(SpinSpace(4), [(0, coeff)])
+    assert psi.amplitudes.tobytes() == superpose_dicke(SpinSpace(4), [(0, coeff / abs(coeff))]) \
+        .amplitudes.tobytes()
+
+
+def test_an_underflowing_superposition_is_that_of_its_coefficients_scaled_up():
+    # a power-of-two scale is exact, so the state is that of the same
+    # coefficients brought into the normal range by hand
+    sp = SpinSpace(10)
+    terms = [(5, 1e-170), (-3, -3e-171j), (0, 2e-172 + 7e-171j), (5, 4e-172)]
+    up = [(m, coeff * 2.0**600) for m, coeff in terms]
+    assert superpose_dicke(sp, terms).amplitudes.tobytes() == \
+        _plain_superposition(sp, up).tobytes()
+    subnormal = [(5, 3e-320), (-5, 1e-321j)]
+    up = [(m, coeff * 2.0**1000 * 2.0**60) for m, coeff in subnormal]
+    psi = superpose_dicke(sp, subnormal)
+    assert psi.amplitudes.tobytes() == _plain_superposition(sp, up).tobytes()
+    assert abs(psi.norm() - 1.0) < 1e-15
+    with pytest.raises(ValueError, match="sum to the zero vector"):
+        superpose_dicke(sp, [(1, 1e-170), (1, -1e-170)])
 
 
 @pytest.mark.parametrize("coeff", [np.inf, -np.inf, np.nan, complex(0.0, np.inf),
