@@ -33,6 +33,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+#: The workload names, as in perfbench/run.py.
+WORKLOADS = ("scaling-small", "scaling-large", "dispersive-validation", "cli-cold")
 #: As in perfbench/run.py.
 BLAS_THREADS = "1"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -127,7 +129,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=checkout)
     parser.add_argument("change", type=checkout)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--rounds", type=int, required=True)
     args = parser.parse_args(argv)
     if args.rounds < 2:

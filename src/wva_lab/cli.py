@@ -8,34 +8,28 @@ usage error.
 Every number printed comes from a library call; the CLI only formats
 (12 significant digits, scientific below 1e-4). Identical configurations
 produce byte-identical output.
+
+At load this module imports only the standard library and the family table.
+Each subcommand checks every setting first and then imports the library
+modules it runs, so a rejected call never loads NumPy and `circuit-prep`
+loads no `dynamics`, `experiments` or `fisher`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import circuits, dynamics, experiments, fisher
-from .boson import coherent_state, FockSpace
-from .experiments import _round12
-from .linalg import NullPostselectionError, StateVector, fidelity, project_left
-from .spin import SpinSpace, dicke_state
-from .wva import (
-    BASELINE_THETA,
-    DEFAULT_ETA,
-    DEFAULT_G,
-    centered_quadrature,
-    evolved_joint,
-    meter_readout,
-    postselect,
-)
+from .families import FAMILIES, require_integer_j
 
 #: `scaling --family` values, from the family table.
-BY_CLI_NAME = {fam.cli_name: fam for fam in experiments.FAMILIES.values()}
+BY_CLI_NAME = {fam.cli_name: fam for fam in FAMILIES.values()}
+
+#: `scaling --format` values.
+FORMATS = ("csv", "json")
 
 
 class ConfigError(ValueError):
@@ -55,11 +49,23 @@ class RunConfig:
     def require(self, key):
         v = self.values.get(key)
         if v is None:
-            raise ConfigError(f"{key.replace('_', '-')}: required for this command")
+            raise ConfigError(f"{_flag(key)}: required for this command")
         return v
 
 
+def _flag(key: str) -> str:
+    return key.replace("_", "-")
+
+
+def _round12(value) -> float:
+    """`value` at 12 significant digits, as `experiments.fmt_float` prints it
+    (`experiments._round12`, which this module does not import at load)."""
+    return float(f"{float(value):.12g}")
+
+
 def _jsonify(obj):
+    import numpy as np  # every command that prints a document has loaded it
+
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -75,8 +81,11 @@ def _jsonify(obj):
 
 def _emit(text: str, output: str | None):
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"output: cannot write {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -105,10 +114,29 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(command=args.command, values=values)
 
 
-def _positive(cfg: RunConfig, key: str, kind=float):
-    v = kind(cfg.require(key))
+def _number(cfg: RunConfig, key: str, default=None, kind=float):
+    """A real (or, with kind=complex, complex) setting; `default` when unset.
+    A value of another type, such as a JSON list, is a ConfigError; a string
+    that is no number raises the ValueError of `kind`."""
+    v = cfg.get(key, default)
+    if v is None:
+        return None
+    try:
+        return kind(v)
+    except TypeError:
+        raise ConfigError(f"{_flag(key)}: must be a number, got {v!r}") from None
+
+
+def _real(cfg: RunConfig, key: str) -> float:
+    """A required real setting."""
+    cfg.require(key)
+    return _number(cfg, key)
+
+
+def _positive(cfg: RunConfig, key: str) -> float:
+    v = _real(cfg, key)
     if v <= 0:
-        raise ConfigError(f"{key.replace('_', '-')}: must be positive, got {v}")
+        raise ConfigError(f"{_flag(key)}: must be positive, got {v}")
     return v
 
 
@@ -117,15 +145,15 @@ def _integer(cfg: RunConfig, key: str, default=None) -> int:
     v = cfg.require(key) if default is None else cfg.get(key, default)
     if isinstance(v, bool) or not (isinstance(v, int)
                                    or isinstance(v, float) and v.is_integer()):
-        raise ConfigError(f"{key.replace('_', '-')}: must be an integer, got {v!r}")
+        raise ConfigError(f"{_flag(key)}: must be an integer, got {v!r}")
     return int(v)
 
 
 def _finite(cfg: RunConfig, key: str) -> float:
     """A required real setting that must be finite."""
-    v = float(cfg.require(key))
-    if not np.isfinite(v):
-        raise ConfigError(f"{key.replace('_', '-')}: must be finite, got {v}")
+    v = _real(cfg, key)
+    if not math.isfinite(v):
+        raise ConfigError(f"{_flag(key)}: must be finite, got {v}")
     return v
 
 
@@ -133,24 +161,38 @@ def _switch(cfg: RunConfig, key: str) -> bool:
     """An on/off setting: a flag, or a JSON boolean in a config file."""
     v = cfg.get(key, False)
     if not isinstance(v, bool):
-        raise ConfigError(f"{key.replace('_', '-')}: must be true or false, got {v!r}")
+        raise ConfigError(f"{_flag(key)}: must be true or false, got {v!r}")
     return v
 
 
-def _build_single_strategy(cfg: RunConfig):
-    """The strategy of the one family whose parameter is set, and its entry."""
-    chosen = [fam for fam in experiments.FAMILIES.values() if cfg.get(fam.param_key) is not None]
+def _keywords(**values) -> dict:
+    """The settings that are set, as keyword arguments: an unset one keeps
+    the library's default."""
+    return {key: v for key, v in values.items() if v is not None}
+
+
+def _single_family(cfg: RunConfig):
+    """(family, two_j, parameter, g/eta keywords) of the one family whose
+    parameter is set, every setting checked; nothing is built."""
+    chosen = [fam for fam in FAMILIES.values() if cfg.get(fam.param_key) is not None]
     if len(chosen) != 1:
-        flags = " / ".join(f"--{fam.param_key.replace('_', '-')}"
-                           for fam in experiments.FAMILIES.values())
+        flags = " / ".join(f"--{_flag(fam.param_key)}" for fam in FAMILIES.values())
         raise ConfigError(f"choose exactly one of {flags}")
     fam = chosen[0]
     # the uncorrelated baseline is a single probe: it takes no register size
     two_j = _integer(cfg, "two_j") if fam.levels is not None else 1
-    strat = fam.build(two_j, _finite(cfg, fam.param_key),
-                      g=float(cfg.get("g", DEFAULT_G)),
-                      eta=complex(cfg.get("eta", DEFAULT_ETA)))
-    return strat, fam
+    parameter = _finite(cfg, fam.param_key)
+    kw = _keywords(g=_number(cfg, "g"), eta=_number(cfg, "eta", kind=complex))
+    if fam.integer_j:
+        require_integer_j(two_j, "nonlinear strategy")
+    return fam, two_j, parameter, kw
+
+
+def _null_postselection(exc: ValueError) -> bool:
+    """Whether `exc` is the library's NullPostselectionError; it cannot be
+    before the library is loaded, so this loads nothing."""
+    linalg = sys.modules.get(f"{__package__}.linalg")
+    return linalg is not None and isinstance(exc, linalg.NullPostselectionError)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +201,10 @@ def _build_single_strategy(cfg: RunConfig):
 
 
 def cmd_weak_value(cfg: RunConfig) -> int:
-    strat, fam = _build_single_strategy(cfg)
+    fam, two_j, parameter, kw = _single_family(cfg)
+    from .wva import centered_quadrature, meter_readout, postselect
+
+    strat = fam.build(two_j, parameter, **kw)
     result = postselect(strat)
     r_op = centered_quadrature(strat)
     shift_exact, shift_formula = meter_readout(result, r_op, strat)
@@ -198,25 +243,24 @@ def cmd_scaling(cfg: RunConfig) -> int:
         if not sizes:
             raise ConfigError(f"{fam.name} requires integer j: no even two-j "
                               "values in the requested range")
-    records = experiments.sweep(
-        fam.name, sizes, parameter,
-        g=float(cfg.get("g", DEFAULT_G)),
-        eta=complex(cfg.get("eta", DEFAULT_ETA)),
-        baseline_theta=float(cfg.get("baseline_theta", BASELINE_THETA)),
-        with_circuits=not _switch(cfg, "no_circuits"),
-    )
+    kw = _keywords(g=_number(cfg, "g"), eta=_number(cfg, "eta", kind=complex),
+                   baseline_theta=_number(cfg, "baseline_theta"))
+    with_circuits = not _switch(cfg, "no_circuits")
+    fmt = cfg.get("format", "json")
+    if fmt not in FORMATS:
+        raise ConfigError(f"format: unknown {fmt!r}; valid: {', '.join(FORMATS)}")
+    from . import experiments
+
+    records = experiments.sweep(fam.name, sizes, parameter, with_circuits=with_circuits, **kw)
     fits = {}
     if len(records) >= 4:
         for name in ("abs_weak_value", "success_prob", "sigma"):
             fits[f"{name}_vs_two_j"] = experiments.fit_loglog(records, "two_j", name)
-    fmt = cfg.get("format", "json")
     if fmt == "csv":
         _emit(experiments.records_to_csv(records, fits), cfg.get("output"))
-    elif fmt == "json":
+    else:
         _emit(experiments.records_to_json(fam.name, parameter, records, fits),
               cfg.get("output"))
-    else:
-        raise ConfigError(f"format: unknown {fmt!r}; valid: csv, json")
     return 0
 
 
@@ -224,14 +268,20 @@ def cmd_circuit_prep(cfg: RunConfig) -> int:
     two_j = _integer(cfg, "two_j")
     m1 = _finite(cfg, "m1")
     m2 = _finite(cfg, "m2")
-    alpha = float(cfg.get("alpha", 1 / np.sqrt(2)))
-    beta = float(cfg.get("beta", 1 / np.sqrt(2)))
+    alpha = _number(cfg, "alpha", 1 / math.sqrt(2))
+    beta = _number(cfg, "beta", 1 / math.sqrt(2))
+    zeta = cfg.get("zeta", "plus-all")
+    if not isinstance(zeta, str):
+        raise ConfigError(f"zeta: must be a reference name, got {zeta!r}")
+    zeta_kind = zeta.replace("-", "_")
+    analytic_only = _switch(cfg, "analytic")
+    from . import circuits
+
     circuits.check_ancilla(alpha, beta)
-    zeta_kind = cfg.get("zeta", "plus-all").replace("-", "_")
     doc = {"command": "circuit-prep", "two_j": two_j, "m1": m1, "m2": m2,
            "zeta": zeta_kind}
     analytic = circuits.prep_probability_analytic(two_j, m1, m2, zeta_kind)
-    if two_j <= circuits.MAX_REGISTER_TWO_J and not _switch(cfg, "analytic"):
+    if two_j <= circuits.MAX_REGISTER_TWO_J and not analytic_only:
         zeta = circuits.reference_state(two_j, zeta_kind, m1, m2)
         res = circuits.prep_circuit(two_j, m1, m2, alpha, beta, zeta)
         doc.update({
@@ -251,11 +301,16 @@ def cmd_circuit_prep(cfg: RunConfig) -> int:
 
 
 def cmd_circuit_measure(cfg: RunConfig) -> int:
-    strat, fam = _build_single_strategy(cfg)
+    fam, two_j, parameter, kw = _single_family(cfg)
     if fam.levels is None:
         raise ConfigError(f"circuit-measure: {fam.name} has no two-component "
                           "postselection state")
-    two_j = strat.system_space.two_j
+    analytic_only = _switch(cfg, "analytic")
+    from . import circuits
+    from .linalg import fidelity, project_left
+    from .wva import evolved_joint
+
+    strat = fam.build(two_j, parameter, **kw)
     m1, m2, alpha, beta = fam.components(strat)
     meter_dim = strat.meter_space.dim
     joint = evolved_joint(strat)
@@ -264,7 +319,7 @@ def cmd_circuit_measure(cfg: RunConfig) -> int:
            "alpha": alpha, "beta": beta,
            "analytic_p_tilde": circuits.measure_probability_analytic(
                two_j, m1, m2, "dicke_superposition", projection.probability)}
-    if two_j <= circuits.MAX_REGISTER_TWO_J and not _switch(cfg, "analytic"):
+    if two_j <= circuits.MAX_REGISTER_TWO_J and not analytic_only:
         zeta = circuits.reference_state(two_j, "dicke_superposition", m1, m2)
         res = circuits.measure_circuit(two_j, joint, m1, m2, alpha, beta, zeta,
                                        meter_dim)
@@ -278,7 +333,11 @@ def cmd_circuit_measure(cfg: RunConfig) -> int:
 
 
 def cmd_fisher(cfg: RunConfig) -> int:
-    strat, fam = _build_single_strategy(cfg)
+    fam, two_j, parameter, kw = _single_family(cfg)
+    from . import fisher
+    from .wva import DEFAULT_ETA
+
+    strat = fam.build(two_j, parameter, **kw)
     report = fisher.postselected_fisher_ratio(strat)
     doc = {
         "command": "fisher",
@@ -294,8 +353,8 @@ def cmd_fisher(cfg: RunConfig) -> int:
         "small_eta_prediction": report.small_eta_prediction,
     }
     if fam.integer_j:  # the closed forms describe only the nonlinear state
-        eta = complex(cfg.get("eta", DEFAULT_ETA))
-        exact, approx = fisher.qfi_nonlinear_coherent(strat.system_space.two_j, eta)
+        exact, approx = fisher.qfi_nonlinear_coherent(strat.system_space.two_j,
+                                                      kw.get("eta", DEFAULT_ETA))
         doc["qfi_closed_form_exact"] = exact
         doc["qfi_closed_form_small_eta"] = approx
     _emit_json(doc, cfg.get("output"))
@@ -305,29 +364,39 @@ def cmd_fisher(cfg: RunConfig) -> int:
 def cmd_dynamics(cfg: RunConfig) -> int:
     two_j = _integer(cfg, "two_j", 2)
     g0 = _positive(cfg, "g0")
-    delta = float(cfg.require("delta_minus"))
-    if delta == 0.0 or not np.isfinite(delta):  # before the default t_final and dt divide by it
+    delta = _real(cfg, "delta_minus")
+    if delta == 0.0 or not math.isfinite(delta):  # before the default t_final and dt divide by it
         raise ConfigError(f"delta_minus must be nonzero and finite, got {delta}")
     cutoff = _integer(cfg, "fock_cutoff", 6)
+    t_final = _number(cfg, "t_final")
+    dt = _number(cfg, "dt", 0.05 / abs(delta))
+    m_init = _number(cfg, "m_init", 0.0)
+    meter_eta = _number(cfg, "meter_eta", 0.25)
+    store_every = _integer(cfg, "store_every", 200)
+    commutator_terms = _switch(cfg, "commutator_terms")
+    import numpy as np
+
+    from . import dynamics
+    from .boson import FockSpace, coherent_state
+    from .linalg import StateVector
+    from .spin import SpinSpace, dicke_state
+
     g_disp = dynamics.dispersive_coupling(g0, delta)
-    if g_disp == 0.0 or not np.isfinite(g_disp):  # before the default t_final divides by it
+    if g_disp == 0.0 or not math.isfinite(g_disp):  # before the default t_final divides by it
         raise ConfigError(f"g_dispersive = 4 g0^2 / delta_minus must be nonzero and finite, "
                           f"got {g_disp} for g0 = {g0}, delta_minus = {delta}")
-    t_final = float(cfg.get("t_final", 2 * np.pi / abs(g_disp)))
-    dt = float(cfg.get("dt", 0.05 / abs(delta)))
+    if t_final is None:
+        t_final = 2 * math.pi / abs(g_disp)
     params = dynamics.TwoPhotonTCParams(two_j=two_j, g0=g0, delta_minus=delta,
                                         fock_cutoff=cutoff, t_final=t_final, dt=dt)
     space = SpinSpace(two_j)
-    m_init = float(cfg.get("m_init", 0.0))
     # validation probe: a renormalized truncated coherent state is fine
-    meter = coherent_state(FockSpace(cutoff, tail_tolerance=1e-6),
-                           float(cfg.get("meter_eta", 0.25)))
+    meter = coherent_state(FockSpace(cutoff, tail_tolerance=1e-6), meter_eta)
     sys0 = dicke_state(space, m_init)
     psi0 = StateVector(space.dim * (cutoff + 1),
                        np.kron(sys0.amplitudes, meter.amplitudes))
     min_fid, trace = dynamics.effective_model_fidelity(
-        params, psi0, store_every=_integer(cfg, "store_every", 200),
-        include_commutator_terms=_switch(cfg, "commutator_terms"))
+        params, psi0, store_every=store_every, include_commutator_terms=commutator_terms)
     doc = {
         "command": "dynamics",
         "two_j": two_j,
@@ -359,8 +428,8 @@ def _add_common(p: argparse.ArgumentParser):
 
 def _add_strategy_flags(p: argparse.ArgumentParser):
     """--g, --eta and one flag per family parameter, from the family table."""
-    for fam in experiments.FAMILIES.values():
-        p.add_argument(f"--{fam.param_key.replace('_', '-')}", dest=fam.param_key, type=float)
+    for fam in FAMILIES.values():
+        p.add_argument(f"--{_flag(fam.param_key)}", dest=fam.param_key, type=float)
     p.add_argument("--g", type=float)
     p.add_argument("--eta", type=float)
 
@@ -388,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline-theta", dest="baseline_theta", type=float)
     p.add_argument("--no-circuits", dest="no_circuits", action="store_true",
                    default=None)
-    p.add_argument("--format", choices=["csv", "json"])
+    p.add_argument("--format", choices=FORMATS)
     _add_common(p)
     p.set_defaults(func=cmd_scaling)
 
@@ -443,12 +512,9 @@ def run(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         return args.func(cfg)
-    except NullPostselectionError as exc:
+    except ValueError as exc:  # ConfigError too
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if _null_postselection(exc) else 2
 
 
 def main():  # console entry point

@@ -1,8 +1,8 @@
 """Scaling sweeps over register size and log-log exponent fits, plus the
 CSV/JSON record emission used by the CLI.
 
-FAMILIES holds one entry per strategy family; adding a family means adding
-an entry. Its sigma baseline is recorded in every JSON header:
+The strategy-family table FAMILIES lives in `families` and is re-exported
+here. A family's sigma baseline is recorded in every JSON header:
 "fixed_weak_value" compares against an uncorrelated single probe tuned to the
 *same* weak value, under which the collective linear strategy shows
 sigma ~ j; "fixed_per_probe_success" compares against an uncorrelated probe
@@ -32,11 +32,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import sin
-from typing import Callable
 
 import numpy as np
 
-from . import circuits, fisher, wva
+from . import circuits, fisher
+from .families import FAMILIES, Family
 from .wva import (
     BASELINE_THETA,
     DEFAULT_ETA,
@@ -47,47 +47,6 @@ from .wva import (
     success_probability,
 )
 
-
-@dataclass(frozen=True)
-class Family:
-    """One strategy family. `build(two_j, parameter, g=, eta=)` looks the
-    `wva.strategy_*` constructor up at call time, so a rebound module
-    attribute (a tracer, a test double) is seen. `levels(j)` gives the two
-    Dicke levels (m1, m2) where psi_f has weight; None for the uncorrelated
-    baseline, whose two_j counts independent single-qubit probes."""
-
-    name: str
-    cli_name: str
-    param_key: str
-    build: Callable[..., WeakValueStrategy]
-    levels: Callable[[float], tuple[float, float]] | None
-    integer_j: bool
-    sigma_baseline: str
-
-    def components(self, strat: WeakValueStrategy):
-        """(m1, m2, alpha, beta): the two levels and psi_f's amplitudes there."""
-        m1, m2 = self.levels(strat.system_space.j)
-        space, amps = strat.system_space, strat.psi_f.amplitudes
-        return m1, m2, complex(amps[space.index_of(m1)]), complex(amps[space.index_of(m2)])
-
-
-FAMILIES = {family.name: family for family in (
-    Family("linear_fixed_aw", "linear-fixed-aw", "a_w",
-           lambda two_j, p, **kw: wva.strategy_linear_optimal(two_j, p, **kw),
-           lambda j: (j, -j), False, "fixed_weak_value"),
-    Family("linear_fixed_sigma", "linear-fixed-sigma", "probe_ps",
-           lambda two_j, p, **kw: wva.strategy_linear_fixed_sigma(two_j, p, **kw),
-           lambda j: (j, -j), False, "fixed_per_probe_success"),
-    Family("nonlinear_joint", "nonlinear-joint", "kappa",
-           lambda two_j, p, **kw: wva.strategy_nonlinear_joint(two_j, p, **kw),
-           lambda j: (0.0, -j), True, "fixed_per_probe_success"),
-    Family("near_deterministic", "near-deterministic", "epsilon",
-           lambda two_j, p, **kw: wva.strategy_near_deterministic(two_j, p, **kw),
-           lambda j: (0.0, -j), True, "fixed_per_probe_success"),
-    Family("uncorrelated_baseline", "uncorrelated", "theta",
-           lambda two_j, p, **kw: wva.strategy_uncorrelated(p, **kw),
-           None, False, "fixed_per_probe_success"),
-)}
 
 CSV_HEADER = ("two_j,parameter,abs_weak_value,success_prob,sigma,"
               "qfi_total,fisher_ratio,prep_prob,measure_prob")

@@ -31,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .boson import FockSpace, coherent_state, min_cutoff, op_annihilate, op_number
+from .families import require_integer_j
 from .linalg import (
     DEFAULT_MAX_TENSOR_DIM,
     NullPostselectionError,
@@ -198,11 +199,6 @@ def _equal_superposition(two_j: int, m1: float, m2: float) -> StateVector:
     return superpose_dicke(SpinSpace(two_j), [(m1, 1.0), (m2, 1.0)])
 
 
-def _require_integer_j(two_j: int, what: str):
-    if two_j % 2 != 0:
-        raise ValueError(f"{what} requires integer j (even two_j); got two_j = {two_j}")
-
-
 def strategy_linear_optimal(two_j: int, a_w_target: float, *, g: float = DEFAULT_G,
                             eta: complex = DEFAULT_ETA) -> WeakValueStrategy:
     """Collective Jz strategy holding the weak value at a chosen target.
@@ -248,7 +244,7 @@ def strategy_nonlinear_joint(two_j: int, kappa: float, *, g: float = DEFAULT_G,
     kappa j^2 / (1 + kappa j^2): quadratic success growth with linear weak
     value growth in j.
     """
-    _require_integer_j(two_j, "nonlinear strategy")
+    require_integer_j(two_j, "nonlinear strategy")
     space = SpinSpace(two_j)
     j = space.j
     if kappa <= 0.0 or kappa * j**2 >= 0.1:
@@ -265,7 +261,7 @@ def strategy_near_deterministic(two_j: int, epsilon: float, *, g: float = DEFAUL
     """Nonlinear strategy tuned for success probability 1/(1+eps) ~ 1 - eps,
     with postselection state (1 + sqrt(eps))|j,0> + (1 - sqrt(eps))|j,-j>.
     The weak value grows quadratically in j."""
-    _require_integer_j(two_j, "nonlinear strategy")
+    require_integer_j(two_j, "nonlinear strategy")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
     space = SpinSpace(two_j)

@@ -49,3 +49,17 @@ def test_benchmark_workloads_accept_the_tree():
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "ok\n"
+
+
+def test_ab_passes_accepts_only_the_benchmark_workloads():
+    # a misspelt workload is a usage error, not two children that die
+    script = ROOT / "scripts" / "ab_passes.py"
+    out = subprocess.run([sys.executable, str(script), str(ROOT), str(ROOT), "--workload",
+                          "cli-warm", "--rounds", "2"], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert "invalid choice: 'cli-warm'" in out.stderr
+    same = ("import sys; sys.path[:0] = sys.argv[1:]; import ab_passes, run; "
+            "print(ab_passes.WORKLOADS == run.WORKLOADS)")
+    out = subprocess.run([sys.executable, "-c", same, str(script.parent), str(ROOT / "perfbench")],
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "True\n")

@@ -534,3 +534,47 @@ def test_circuit_prep_analytic_two_j_600(capsys):
     doc = json.loads(out)
     assert doc["analytic_prob"] == doc["overlap_conventions"]["normalized_dicke"] > 0
     assert 0 < doc["overlap_conventions"]["unnormalized_dicke"] < 1
+
+
+PREP = {"two_j": 2, "m1": 0, "m2": -1}
+
+
+@pytest.mark.parametrize("command, values, message", [
+    ("circuit-prep", {**PREP, "zeta": 1}, "zeta: must be a reference name, got 1"),
+    ("weak-value", {"two_j": 4, "kappa": 1e-3, "g": [1]}, "g: must be a number, got [1]"),
+    ("fisher", {"two_j": 4, "kappa": 1e-3, "eta": [0.1]}, "eta: must be a number, got [0.1]"),
+    ("circuit-prep", {**PREP, "alpha": [1]}, "alpha: must be a number, got [1]"),
+    ("circuit-prep", {**PREP, "beta": {"re": 1}}, "beta: must be a number, got {'re': 1}"),
+    ("scaling", {**SCALING, "baseline_theta": [0.05]},
+     "baseline-theta: must be a number, got [0.05]"),
+], ids=["zeta", "g", "eta", "alpha", "beta", "baseline-theta"])
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, command, values, message):
+    # these raised AttributeError or TypeError, a traceback with exit 1
+    assert _run_config(tmp_path, command, values) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    # used to raise FileNotFoundError, a traceback with exit 1
+    path = tmp_path / "missing" / "x.json"
+    assert run(["circuit-prep", "--two-j", "2", "--m1", "0", "--m2", "-1",
+                "--output", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: output: cannot write {path}: ")
+    assert err.count("\n") == 1 and not path.parent.exists()
+
+
+def test_scaling_rejects_an_unknown_format_before_the_sweep(tmp_path, capsys, monkeypatch):
+    calls = []
+    spy_everywhere(monkeypatch, "sweep", calls)
+    assert _run_config(tmp_path, "scaling", {**SCALING, "format": "xml"}) == 2
+    assert capsys.readouterr().err == "error: format: unknown 'xml'; valid: csv, json\n"
+    assert calls == []
+
+
+def test_config_switch_is_checked_beyond_the_register_cap(tmp_path, capsys):
+    # `analytic` used to be read only where the brute-force circuit could run
+    assert _run_config(tmp_path, "circuit-prep",
+                       {"two_j": 12, "m1": 0, "m2": -6, "analytic": 0}) == 2
+    assert "analytic: must be true or false" in capsys.readouterr().err
