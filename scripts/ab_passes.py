@@ -16,7 +16,11 @@ Prints each side's median tasks/s over the rounds and its ``task_s.p50``
 (the median over the tasks of each task's median latency in the timed
 passes, as ``perfbench/run.py`` reports it), the ratio parent/change of the
 two p50s, and the median and quartiles of the per-round ratio parent/change
-of the pass time (above 1: the change is faster). Then it prints each
+of the pass time (above 1: the change is faster). It counts the rounds each
+side won with the shorter pass, ties counting for neither, and prints the
+parent's median pass time with its quartiles next to the change's median, so
+a gain claim's two tests (wins in nine rounds of ten, medians apart by more
+than the parent's interquartile range) read off one run. Then it prints each
 child's peak RSS (``ru_maxrss``) after the rounds. Both children run the same
 passes and keep no ``Tally`` across them, so the two peaks differ by the
 program's own memory, without the latencies that ``perfbench/run.py`` keeps
@@ -117,6 +121,25 @@ class Side:
         self.proc.stdout.close()
 
 
+def pass_time_report(rounds, workload: str) -> str:
+    """The per-round pass times [(parent s, change s), ...] summarized: the
+    ratio parent/change, the rounds each side won, and each side's median
+    with the parent's quartiles."""
+    ratios = [parent / change for parent, change in rounds]
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
+    parent_times = [parent for parent, _ in rounds]
+    p1, _, p3 = statistics.quantiles(parent_times, n=4)
+    return "\n".join([
+        f"pass time parent/change: median {statistics.median(ratios):.3f} "
+        f"[quartiles {q1:.3f}, {q3:.3f}] over {len(rounds)} rounds of {workload}",
+        f"rounds won: change {sum(c < p for p, c in rounds)}, "
+        f"parent {sum(p < c for p, c in rounds)} (ties count for neither)",
+        f"pass time: parent median {statistics.median(parent_times):.6g} s "
+        f"[quartiles {p1:.6g}, {p3:.6g}; IQR {p3 - p1:.3g}], "
+        f"change median {statistics.median(c for _, c in rounds):.6g} s",
+    ])
+
+
 def checkout(path: str) -> Path:
     root = Path(path).resolve()
     for part in ("src/wva_lab/__init__.py", "perfbench/workloads.py", "perfbench/run.py"):
@@ -144,11 +167,11 @@ def main(argv=None) -> int:
                 print(f"error: the {side.label} side ({side.root}) fails its first pass:",
                       *reply["problems"], sep="\n", file=sys.stderr)
                 return 1
-        ratios = []
+        rounds = []
         for r in range(args.rounds):
             order = sides if r % 2 == 0 else sides[::-1]
             busy = {side.label: side.timed_pass(r + 1) for side in order}
-            ratios.append(busy["parent"] / busy["change"])
+            rounds.append((busy["parent"], busy["change"]))
     finally:
         for side in sides:
             side.close()
@@ -158,10 +181,7 @@ def main(argv=None) -> int:
               f"task_s.p50 {side.task_p50:.6g} s over {args.rounds} passes, "
               f"{side.failed} failed tasks ({side.root})")
     print(f"task_s.p50 parent/change: {sides[0].task_p50 / sides[1].task_p50:.3f}")
-    q1, _, q3 = statistics.quantiles(ratios, n=4)
-    median = statistics.median(ratios)
-    print(f"pass time parent/change: median {median:.3f} [quartiles {q1:.3f}, {q3:.3f}] "
-          f"over {args.rounds} rounds of {args.workload}")
+    print(pass_time_report(rounds, args.workload))
     for side in sides:
         print(f"{side.label}: peak RSS {side.maxrss_kib / 1024:.2f} MB after the rounds")
     print(f"peak RSS change/parent: {sides[1].maxrss_kib / sides[0].maxrss_kib:.4f}")

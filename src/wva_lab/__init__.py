@@ -28,9 +28,8 @@ _EXPORTS = {
     **dict.fromkeys(("PostselectionResult", "WeakValueStrategy", "collective_success",
                      "evolved_joint", "meter_readout", "orthogonal_complement_state",
                      "postselect", "postselection_state_fixed_Ps", "sigma_advantage",
-                     "strategy_linear_fixed_sigma", "strategy_linear_optimal",
-                     "strategy_near_deterministic", "strategy_nonlinear_joint",
-                     "strategy_uncorrelated", "success_probability", "weak_value"), "wva"),
+                     "strategy_two_level", "strategy_uncorrelated", "success_probability",
+                     "weak_value"), "wva"),
 }
 
 __all__ = list(_EXPORTS)

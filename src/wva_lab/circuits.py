@@ -39,6 +39,7 @@ from math import comb, sqrt
 
 import numpy as np
 
+from .families import check_ancilla
 from .linalg import StateVector, _read_only
 from .spin import SpinSpace
 
@@ -89,12 +90,6 @@ def _check_levels(m1: float, m2: float):
     # overlap product is not the preparation weight
     if m1 == m2:
         raise ValueError("m1 and m2 must be two different Dicke levels")
-
-
-def check_ancilla(alpha: complex, beta: complex):
-    """Reject control-ancilla coefficients alpha|0> + beta|1> off the unit sphere."""
-    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-10:  # NaN fails too
-        raise ValueError("|alpha|^2 + |beta|^2 must be 1")
 
 
 def _popcounts(two_j: int) -> np.ndarray:

@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .families import FAMILIES, require_integer_j
+from .families import FAMILIES, check_ancilla, require_integer_j
 
 #: `scaling --family` values, from the family table.
 BY_CLI_NAME = {fam.cli_name: fam for fam in FAMILIES.values()}
@@ -173,13 +173,15 @@ def _keywords(**values) -> dict:
 
 def _single_family(cfg: RunConfig):
     """(family, two_j, parameter, g/eta keywords) of the one family whose
-    parameter is set, every setting checked; nothing is built."""
+    parameter is set, every setting checked but `Family.check`."""
     chosen = [fam for fam in FAMILIES.values() if cfg.get(fam.param_key) is not None]
     if len(chosen) != 1:
         flags = " / ".join(f"--{_flag(fam.param_key)}" for fam in FAMILIES.values())
         raise ConfigError(f"choose exactly one of {flags}")
     fam = chosen[0]
-    # the uncorrelated baseline is a single probe: it takes no register size
+    if fam.levels is None and cfg.get("two_j") is not None:
+        raise ConfigError(f"two-j: {fam.name} is a single probe and takes no register size, "
+                          f"got {cfg.get('two_j')!r}")
     two_j = _integer(cfg, "two_j") if fam.levels is not None else 1
     parameter = _finite(cfg, fam.param_key)
     kw = _keywords(g=_number(cfg, "g"), eta=_number(cfg, "eta", kind=complex))
@@ -202,6 +204,7 @@ def _null_postselection(exc: ValueError) -> bool:
 
 def cmd_weak_value(cfg: RunConfig) -> int:
     fam, two_j, parameter, kw = _single_family(cfg)
+    fam.check(two_j, parameter)
     from .wva import centered_quadrature, meter_readout, postselect
 
     strat = fam.build(two_j, parameter, **kw)
@@ -275,9 +278,9 @@ def cmd_circuit_prep(cfg: RunConfig) -> int:
         raise ConfigError(f"zeta: must be a reference name, got {zeta!r}")
     zeta_kind = zeta.replace("-", "_")
     analytic_only = _switch(cfg, "analytic")
+    check_ancilla(alpha, beta)
     from . import circuits
 
-    circuits.check_ancilla(alpha, beta)
     doc = {"command": "circuit-prep", "two_j": two_j, "m1": m1, "m2": m2,
            "zeta": zeta_kind}
     analytic = circuits.prep_probability_analytic(two_j, m1, m2, zeta_kind)
@@ -306,6 +309,7 @@ def cmd_circuit_measure(cfg: RunConfig) -> int:
         raise ConfigError(f"circuit-measure: {fam.name} has no two-component "
                           "postselection state")
     analytic_only = _switch(cfg, "analytic")
+    fam.check(two_j, parameter)
     from . import circuits
     from .linalg import fidelity, project_left
     from .wva import evolved_joint
@@ -334,6 +338,7 @@ def cmd_circuit_measure(cfg: RunConfig) -> int:
 
 def cmd_fisher(cfg: RunConfig) -> int:
     fam, two_j, parameter, kw = _single_family(cfg)
+    fam.check(two_j, parameter)
     from . import fisher
     from .wva import DEFAULT_ETA
 

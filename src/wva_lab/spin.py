@@ -18,6 +18,7 @@ from math import frexp, ldexp
 
 import numpy as np
 
+from .families import require_register
 from .linalg import Operator, StateVector, _read_only, apply, expectation
 
 #: Kinds of `collective_op` that are diagonal in the Dicke basis.
@@ -35,8 +36,7 @@ class SpinSpace:
     two_j: int
 
     def __post_init__(self):
-        if self.two_j < 1:
-            raise ValueError("two_j must be a positive integer")
+        require_register(self.two_j)
 
     @property
     def j(self) -> float:

@@ -1,4 +1,6 @@
 import importlib
+import importlib.util
+import pathlib
 
 import numpy as np
 import pytest
@@ -62,3 +64,12 @@ FAMILY_PARAMETERS = {
     "near_deterministic": 0.04,
     "uncorrelated_baseline": 0.05,
 }
+
+
+def scaling_runs():
+    """(family, grid, parameter, g) of every results/ file, from scripts/run_scaling.py."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_scaling.py"
+    spec = importlib.util.spec_from_file_location("run_scaling", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script.RUNS

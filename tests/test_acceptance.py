@@ -26,7 +26,7 @@ from wva_lab import circuits as C
 from wva_lab import dynamics, fisher
 from wva_lab.boson import FockSpace, coherent_state
 from wva_lab.cli import run as cli_run
-from wva_lab.experiments import fit_loglog, sweep
+from wva_lab.experiments import FAMILIES, fit_loglog, sweep
 from wva_lab.linalg import StateVector, fidelity
 from wva_lab.spin import SpinSpace, collective_op, dicke_state, nonlinear_observable, superpose_dicke, variance
 from wva_lab.wva import (
@@ -34,8 +34,6 @@ from wva_lab.wva import (
     evolved_joint,
     meter_readout,
     postselect,
-    strategy_linear_optimal,
-    strategy_nonlinear_joint,
     strategy_uncorrelated,
     with_coupling,
 )
@@ -146,7 +144,7 @@ def test_criterion_5_circuit_oracle_equivalence():
               f"(deviation {conv['unnormalized_dicke'] - res.success_prob:+.3e})")
     # measurement: brute force vs closed form and vs direct postselection
     for two_j in (2, 4, 6, 8):
-        strat = strategy_linear_optimal(two_j, 9.0, g=1e-4)
+        strat = FAMILIES["linear_fixed_aw"].build(two_j, 9.0, g=1e-4)
         sp = strat.system_space
         j = sp.j
         alpha = complex(strat.psi_f.amplitudes[sp.index_of(j)])
@@ -159,7 +157,7 @@ def test_criterion_5_circuit_oracle_equivalence():
         worst_prob = max(worst_prob, abs(res.p_tilde - analytic))
         worst_fid = min(worst_fid, fidelity(res.conditional_meter, post.kicked_meter_exact))
     for two_j in (4, 8):
-        strat = strategy_nonlinear_joint(two_j, 1e-3, g=1e-4)
+        strat = FAMILIES["nonlinear_joint"].build(two_j, 1e-3, g=1e-4)
         sp = strat.system_space
         j = sp.j
         alpha = complex(strat.psi_f.amplitudes[sp.index_of(0)])
@@ -182,7 +180,7 @@ def test_criterion_5_circuit_oracle_equivalence():
 
 @pytest.fixture(scope="module")
 def fisher_preset():
-    strat = strategy_nonlinear_joint(12, 1e-3, eta=0.05)  # j = 6
+    strat = FAMILIES["nonlinear_joint"].build(12, 1e-3, eta=0.05)  # j = 6
     return strat, fisher.postselected_fisher_ratio(with_coupling(strat, 1e-4))
 
 
@@ -229,7 +227,7 @@ def test_criterion_6c_postselected_ratio_at_preset(fisher_preset):
     walk = [(12, 1e-3, 1e-4), (40, 1e-5, 1e-6), (120, 1e-7, 1e-8), (400, 1e-9, 1e-10)]
     ratios, worst = [], 0.0
     for two_j, kappa, g in walk:
-        s = strategy_nonlinear_joint(two_j, kappa, eta=0.05)
+        s = FAMILIES["nonlinear_joint"].build(two_j, kappa, eta=0.05)
         assert 0.05 * g * abs(s.weak_value()) <= 1e-3
         r = fisher.postselected_fisher_ratio(with_coupling(s, g)).ratio
         r_exact = nonlinear_ratio_limit(two_j, kappa, 0.05)

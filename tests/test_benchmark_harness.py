@@ -9,6 +9,7 @@ of as an incorrect benchmark run. Nothing under perfbench/ is written.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -63,3 +64,29 @@ def test_ab_passes_accepts_only_the_benchmark_workloads():
     out = subprocess.run([sys.executable, "-c", same, str(script.parent), str(ROOT / "perfbench")],
                          capture_output=True, text=True, timeout=60)
     assert (out.returncode, out.stdout) == (0, "True\n")
+
+
+def test_ab_passes_reports_wins_and_the_parent_spread():
+    # the two tests of a gain claim: rounds won (ties for neither) and the
+    # medians against the parent's interquartile range
+    script = ROOT / "scripts" / "ab_passes.py"
+    report = ("import sys; sys.path[:0] = sys.argv[1:]; import ab_passes; "
+              "print(ab_passes.pass_time_report([(2.0, 1.0), (3.0, 3.0), (1.0, 2.0), (4.0, 1.0),"
+              " (5.0, 2.5)], 'scaling-small'))")
+    out = subprocess.run([sys.executable, "-c", report, str(script.parent)],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "pass time parent/change: median 2.000 [quartiles 0.750, 3.000] over 5 rounds of "
+        "scaling-small",
+        "rounds won: change 3, parent 1 (ties count for neither)",
+        "pass time: parent median 3 s [quartiles 1.5, 4.5; IQR 3], change median 2 s",
+    ]
+    out = subprocess.run([sys.executable, str(script), str(ROOT), str(ROOT), "--workload",
+                          "scaling-small", "--rounds", "3"], capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    won = re.search(r"^rounds won: change (\d), parent (\d) \(ties", out.stdout, re.M)
+    assert int(won[1]) + int(won[2]) <= 3
+    assert re.search(r"^pass time: parent median .* \[quartiles .*; IQR .*\], change median ",
+                     out.stdout, re.M)

@@ -13,7 +13,7 @@ from wva_lab import circuits as C
 from wva_lab.experiments import FAMILIES, sweep
 from wva_lab.linalg import StateVector, fidelity, inner
 from wva_lab.spin import SpinSpace
-from wva_lab.wva import evolved_joint, postselect, strategy_linear_optimal, strategy_nonlinear_joint
+from wva_lab.wva import evolved_joint, postselect
 
 from conftest import FAMILY_PARAMETERS
 from full_register_oracle import (
@@ -164,7 +164,7 @@ def test_prep_probability_conventions():
 
 
 def _nonlinear_pieces(two_j, kappa, g):
-    strat = strategy_nonlinear_joint(two_j, kappa, g=g)
+    strat = FAMILIES["nonlinear_joint"].build(two_j, kappa, g=g)
     sp = strat.system_space
     j = sp.j
     alpha = complex(strat.psi_f.amplitudes[sp.index_of(0)])
@@ -211,7 +211,7 @@ def test_measure_single_branch():
 @pytest.mark.parametrize("two_j", [2, 4, 6, 8])
 def test_measure_brute_force_matches_analytic(two_j):
     # linear-strategy states exercise m = +-j on every register size
-    strat = strategy_linear_optimal(two_j, 11.0, g=1e-4)
+    strat = FAMILIES["linear_fixed_aw"].build(two_j, 11.0, g=1e-4)
     sp = strat.system_space
     j = sp.j
     alpha = complex(strat.psi_f.amplitudes[sp.index_of(j)])
@@ -246,7 +246,7 @@ def overlap_expansion_check(two_j: int, kappa: float, g: float,
     The deviation is the second-order error of collapsing the two-branch
     phase sum into a single exponential; it grows as O(g^2).
     """
-    strat = strategy_nonlinear_joint(two_j, kappa, g=g, eta=eta)
+    strat = FAMILIES["nonlinear_joint"].build(two_j, kappa, g=g, eta=eta)
     j = strat.system_space.j
     space = strat.system_space
     block = evolved_joint(strat).amplitudes.reshape(space.dim, strat.meter_space.dim)
@@ -327,7 +327,7 @@ def test_closed_form_weights_are_correctly_rounded(two_j):
     conv = C.prep_probability_conventions(two_j)
     assert conv["normalized_dicke"] == float(central * edge)
     assert conv["unnormalized_dicke"] == float(central**2)
-    strat = strategy_nonlinear_joint(two_j, 0.01 / j**2, g=0.0)
+    strat = FAMILIES["nonlinear_joint"].build(two_j, 0.01 / j**2, g=0.0)
     ps = postselect(strat).success_prob_exact
     got = C.measure_probability_analytic(two_j, 0, -j, "plus_all", ps)
     assert np.isfinite(got)

@@ -578,3 +578,17 @@ def test_config_switch_is_checked_beyond_the_register_cap(tmp_path, capsys):
     assert _run_config(tmp_path, "circuit-prep",
                        {"two_j": 12, "m1": 0, "m2": -6, "analytic": 0}) == 2
     assert "analytic: must be true or false" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["weak-value", "fisher", "circuit-measure"])
+def test_a_register_size_for_the_single_probe_exits_2(tmp_path, capsys, command):
+    # weak-value and fisher used to drop the explicit two_j and print "two_j": 1
+    message = ("error: two-j: uncorrelated_baseline is a single probe and takes no "
+               "register size, got 7\n")
+    assert run([command, "--two-j", "7", "--theta", "0.05"]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert _run_config(tmp_path, command, {"two_j": 7, "theta": 0.05}) == 2
+    assert capsys.readouterr() == ("", message)
+    # two family flags still fail first
+    assert run([command, "--two-j", "4", "--kappa", "0.001", "--theta", "0.1"]) == 2
+    assert capsys.readouterr().err.startswith("error: choose exactly one of ")

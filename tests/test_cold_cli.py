@@ -42,9 +42,11 @@ LIBRARY = {f"wva_lab.{m}" for m in ("boson", "circuits", "dynamics", "experiment
 
 
 def _loaded(code: str, *argv: str):
+    """(exit code, loaded modules, the stderr lines before the module list)."""
     out = subprocess.run([sys.executable, "-c", code, *argv], cwd=ROOT, env=ENV,
                          capture_output=True, text=True, timeout=60)
-    return out.returncode, set(out.stderr.splitlines()[-1].split())
+    *err, modules = out.stderr.splitlines()
+    return out.returncode, set(modules.split()), err
 
 
 @pytest.mark.parametrize("task", CLI.tasks, ids=lambda task: task[0])
@@ -55,16 +57,38 @@ def test_cold_call_matches_the_recorded_output(task):
 
 @pytest.mark.parametrize("statement", ["import wva_lab", "import wva_lab.cli"])
 def test_importing_the_package_loads_no_numpy(statement):
-    code, loaded = _loaded(f"import sys\n{statement}\nprint(*sorted(sys.modules), file=sys.stderr)")
+    code, loaded, _ = _loaded(
+        f"import sys\n{statement}\nprint(*sorted(sys.modules), file=sys.stderr)")
     assert code == 0
     assert "numpy" not in loaded
     assert not loaded & LIBRARY
 
 
-@pytest.mark.parametrize("name", ["odd-two-j", "two-strategies"])
+#: rejected call -> (argv, its error line)
+REJECTED = {
+    "odd-two-j": (ARGV["odd-two-j"],
+                  "nonlinear strategy requires integer j (even two_j); got two_j = 3"),
+    "two-strategies": (ARGV["two-strategies"],
+                       "choose exactly one of --a-w / --probe-ps / --kappa / --epsilon / --theta"),
+    "bad-ancilla": (["circuit-prep", "--two-j", "2", "--m1", "0", "--m2", "-1", "--alpha", "2"],
+                    "|alpha|^2 + |beta|^2 must be 1"),
+    "kappa-range": (["weak-value", "--two-j", "4", "--kappa", "0"],
+                    "need 0 < kappa * j^2 < 0.1; got 0"),
+    "epsilon-range": (["weak-value", "--two-j", "4", "--epsilon", "1"],
+                      "epsilon must lie strictly between 0 and 1"),
+    "probe-ps-range": (["weak-value", "--two-j", "4", "--probe-ps", "0.5"],
+                       "2j * probe_ps = 2.0 must lie strictly between 0 and 1"),
+    "probe-two-j": (["fisher", "--two-j", "7", "--theta", "0.05"],
+                    "two-j: uncorrelated_baseline is a single probe and takes no register "
+                    "size, got 7"),
+}
+
+
+@pytest.mark.parametrize("name", REJECTED)
 def test_rejected_call_loads_no_numpy(name):
-    code, loaded = _loaded(LOADED, *ARGV[name])
-    assert code == 2
+    argv, message = REJECTED[name]
+    code, loaded, err = _loaded(LOADED, *argv)
+    assert (code, err) == (2, [f"error: {message}"])
     assert "numpy" not in loaded
     assert not loaded & LIBRARY
 
@@ -81,6 +105,6 @@ UNUSED = {
 
 @pytest.mark.parametrize("name", sorted(UNUSED))
 def test_good_call_loads_only_what_it_runs(name):
-    code, loaded = _loaded(LOADED, *ARGV[name])
+    code, loaded, _ = _loaded(LOADED, *ARGV[name])
     assert code == 0
     assert not loaded & {f"wva_lab.{m}" for m in UNUSED[name]}

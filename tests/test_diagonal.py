@@ -12,7 +12,7 @@ from wva_lab.dynamics import TwoPhotonTCParams, conserved_charge
 from wva_lab.experiments import FAMILIES
 from wva_lab.linalg import Operator, StateVector, apply, expectation
 from wva_lab.spin import SpinSpace, collective_op, variance
-from wva_lab.wva import evolved_joint, strategy_near_deterministic, strategy_nonlinear_joint
+from wva_lab.wva import evolved_joint
 
 from conftest import FAMILY_PARAMETERS, random_hermitian, random_state
 from dense_operator_oracle import expm_i, tensor
@@ -108,7 +108,7 @@ def test_diagonal_form_is_enforced():
 def test_evolved_joint_matches_dense_propagator(kind):
     # oracle: exp(-i g A (x) B) assembled as a dense matrix and applied to
     # psi_i (x) phi_i, with A each diagonal spin operator and B = n
-    base = strategy_nonlinear_joint(8, 1e-3, g=3e-3, eta=0.4)
+    base = FAMILIES["nonlinear_joint"].build(8, 1e-3, g=3e-3, eta=0.4)
     space = base.system_space
     A = Operator.from_diagonal(np.ones(space.dim)) if kind == "identity" \
         else collective_op(space, kind)
@@ -157,13 +157,13 @@ def test_evolved_joint_phases_psi_i_support_bit_for_bit(name, two_j):
 
 
 def test_evolved_joint_support_near_deterministic_two_j_600():
-    _assert_kick_on_support(strategy_near_deterministic(600, 0.01, g=1e-6))
+    _assert_kick_on_support(FAMILIES["near_deterministic"].build(600, 0.01, g=1e-6))
 
 
 def test_evolved_joint_support_scattered_zeros_and_large_phases(rng):
     # a random psi_i with exact zeros scattered over the register, and g large
     # enough that part of the phases g a b lie where cos < 0
-    base = strategy_nonlinear_joint(12, 1e-3, eta=0.4)
+    base = FAMILIES["nonlinear_joint"].build(12, 1e-3, eta=0.4)
     raw = random_state(rng, base.system_space.dim).amplitudes.copy()
     raw[[0, 3, 4, 8, 12]] = 0.0
     psi_i = StateVector.of(raw)

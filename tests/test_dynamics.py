@@ -17,9 +17,9 @@ from wva_lab.dynamics import (
     effective_generator_diag,
     effective_model_fidelity,
 )
+from wva_lab.families import FAMILIES
 from wva_lab.linalg import Operator, StateVector, fidelity
 from wva_lab.spin import SpinSpace, collective_op, dicke_state, nonlinear_observable
-from wva_lab.wva import strategy_near_deterministic
 from wva_lab.boson import op_number
 
 from conftest import random_state, spy_everywhere
@@ -444,7 +444,7 @@ def near_deterministic_case(two_j, t_final=1.0):
     coherent(0.1) at cutoff 10: 2 x 11 amplitudes on 22 distinct charges."""
     p = make_params(two_j=two_j, fock_cutoff=10, t_final=t_final)
     meter = coherent_state(FockSpace(10, tail_tolerance=1e-6), 0.1)
-    psi_i = strategy_near_deterministic(two_j, 0.01).psi_i
+    psi_i = FAMILIES["near_deterministic"].build(two_j, 0.01).psi_i
     return p, StateVector(p.joint_dim, np.kron(psi_i.amplitudes, meter.amplitudes))
 
 

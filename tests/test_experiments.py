@@ -47,11 +47,11 @@ def test_sweep_circuit_columns_modes():
     big = sweep("nonlinear_joint", [24], 1e-4)[0]  # analytic-overlap mode
     from math import comb
 
-    from wva_lab.wva import postselect, strategy_nonlinear_joint
+    from wva_lab.wva import postselect
 
     assert big.circuit_prep_prob == pytest.approx(2.0**-48 * comb(24, 12), rel=1e-12)
     # measurement probability is 1/4 of the exact (g-dependent) postselection
-    ps_exact = postselect(strategy_nonlinear_joint(24, 1e-4)).success_prob_exact
+    ps_exact = postselect(FAMILIES["nonlinear_joint"].build(24, 1e-4)).success_prob_exact
     assert big.circuit_measure_prob == pytest.approx(0.25 * ps_exact, rel=1e-12)
 
 
@@ -82,17 +82,17 @@ def test_family_levels_are_where_psi_f_has_weight(fam):
 
 
 def test_family_build_looks_the_constructor_up_per_call(monkeypatch):
-    # a rebound wva.strategy_* (as the benchmark tracer installs) must be seen
+    # a rebound wva.strategy_two_level (as the benchmark tracer installs) must be seen
     calls = []
-    real = wva.strategy_nonlinear_joint
+    real = wva.strategy_two_level
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(wva, "strategy_nonlinear_joint", spy)
+    monkeypatch.setattr(wva, "strategy_two_level", spy)
     sweep("nonlinear_joint", [4, 6], 1e-4, with_circuits=False)
-    assert calls == [(4, 1e-4), (6, 1e-4)]
+    assert calls == [(4, "nonlinear", 0.0, -2.0), (6, "nonlinear", 0.0, -3.0)]
 
 
 #: (family, two_j) pairs of the measurement oracle: every collective family

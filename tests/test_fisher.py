@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from wva_lab.boson import FockSpace, coherent_state, min_cutoff, op_number
+from wva_lab.families import FAMILIES
 from wva_lab.fisher import postselected_fisher_ratio, qfi_nonlinear_coherent, qfi_product
 from wva_lab.linalg import Operator, StateVector
 from wva_lab.spin import SpinSpace, dicke_state, superpose_dicke, nonlinear_observable, variance
 from wva_lab.wva import (
     postselect,
-    strategy_near_deterministic,
-    strategy_nonlinear_joint,
     strategy_uncorrelated,
     with_coupling,
 )
@@ -108,7 +107,7 @@ def test_postselected_ratio_preset_value():
     # this operating point is P_s A_w^2 / (<A^2> + Var(A) |eta|^2) = 0.54506
     # (conftest.nonlinear_ratio_limit), a factor 1.0901 above the joint-limit
     # prediction of 1/2 that ratio_prediction reports.
-    strat = strategy_nonlinear_joint(12, 1e-3, eta=0.05)
+    strat = FAMILIES["nonlinear_joint"].build(12, 1e-3, eta=0.05)
     rep = postselected_fisher_ratio(strat)
     assert rep.ratio == pytest.approx(0.545058, abs=1e-4)
     assert rep.ratio_prediction == pytest.approx(0.5, abs=1e-5)
@@ -121,7 +120,7 @@ def test_postselected_ratio_grows_with_g():
     # the exact ratio rises quadratically in g at this operating point (the
     # success probability grows as the kicked branches dephase); the
     # first-order prediction moves the other way and is reported untouched.
-    strat = strategy_nonlinear_joint(12, 1e-3, eta=0.05)
+    strat = FAMILIES["nonlinear_joint"].build(12, 1e-3, eta=0.05)
     gs = (1e-4, 1e-3, 3e-3, 1e-2)
     ratios, preds = [], []
     for g in gs:
@@ -138,7 +137,7 @@ def test_postselected_ratio_grows_with_g():
 def test_postselected_ratio_step_shrinks_with_weak_value():
     # |A_w| ~ 3.2e6 here: a step of 1e-6 would move the probe points
     # g +- step far outside the weak-kick regime although g itself is inside.
-    strat = strategy_nonlinear_joint(400, 1e-9, eta=0.05)
+    strat = FAMILIES["nonlinear_joint"].build(400, 1e-9, eta=0.05)
     rep = postselected_fisher_ratio(with_coupling(strat, 1e-10))
     assert rep.ratio == pytest.approx(nonlinear_ratio_limit(400, 1e-9, 0.05), rel=1e-6)
 
@@ -148,8 +147,8 @@ def _with_n_squared(strat):
 
 
 ORACLE_POINTS = {
-    "nonlinear_preset": lambda: strategy_nonlinear_joint(12, 1e-3, eta=0.05, g=1e-4),
-    "near_deterministic_600": lambda: strategy_near_deterministic(600, 0.04, g=1e-6),
+    "nonlinear_preset": lambda: FAMILIES["nonlinear_joint"].build(12, 1e-3, eta=0.05, g=1e-4),
+    "near_deterministic_600": lambda: FAMILIES["near_deterministic"].build(600, 0.04, g=1e-6),
     "uncorrelated_dense_a": lambda: strategy_uncorrelated(0.05, g=1e-4),
     # B = n^2, a meter observable other than n
     "uncorrelated_n_squared": lambda: _with_n_squared(strategy_uncorrelated(0.05, g=1e-4)),
@@ -174,7 +173,7 @@ def test_postselected_ratio_matches_converged_finite_difference(point):
 
 
 def test_postselected_ratio_warns_outside_weak_regime():
-    strat = strategy_nonlinear_joint(12, 1e-3, eta=0.05)
+    strat = FAMILIES["nonlinear_joint"].build(12, 1e-3, eta=0.05)
     with pytest.warns(UserWarning, match="weak-kick"):
         postselected_fisher_ratio(with_coupling(strat, 0.05))
 
@@ -183,14 +182,14 @@ def test_postselected_ratio_rejects_zero_total_qfi():
     # eta = 0: the vacuum meter has Var n = 0, so the joint state carries no
     # information on g and there is no ratio to report
     with pytest.raises(ValueError, match="total QFI is 0"):
-        postselected_fisher_ratio(strategy_nonlinear_joint(4, 1e-3, eta=0.0))
+        postselected_fisher_ratio(FAMILIES["nonlinear_joint"].build(4, 1e-3, eta=0.0))
 
 
 def test_postselected_ratio_rejects_a_nan_total_qfi():
     # a NaN meter passes `total <= 0`; the ratio would be NaN, not an error.
     # A normalized StateVector refuses a NaN norm, so the meter is built
     # unnormalized to reach the Fisher check
-    strat = strategy_nonlinear_joint(4, 1e-3, eta=0.1)
+    strat = FAMILIES["nonlinear_joint"].build(4, 1e-3, eta=0.1)
     nan_amps = np.full(strat.meter_space.dim, np.nan)
     with pytest.raises(ValueError, match="state not normalized"):
         StateVector(strat.meter_space.dim, nan_amps)
@@ -202,7 +201,7 @@ def test_postselected_ratio_rejects_a_nan_total_qfi():
 def test_eta_abs_is_the_meter_spread():
     # (|1> + |3>)/sqrt2 has <n> = 2 but Var n = 1; both predictions read
     # |eta| as sqrt(Var_phi B), which equals |eta| for a coherent meter
-    strat = strategy_nonlinear_joint(12, 1e-3, eta=0.05)
+    strat = FAMILIES["nonlinear_joint"].build(12, 1e-3, eta=0.05)
     amps = np.zeros(strat.meter_space.dim, dtype=complex)
     amps[[1, 3]] = np.sqrt(0.5)
     strat = dataclasses.replace(strat, phi_i=StateVector(amps.size, amps))

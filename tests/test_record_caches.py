@@ -5,9 +5,7 @@ cached array is read-only, each cache holds one entry per key, and the JSON
 is the bytes of the dict-plus-`json.dumps` oracle."""
 
 import dataclasses
-import importlib.util
 import math
-import pathlib
 
 import numpy as np
 import pytest
@@ -21,9 +19,7 @@ from wva_lab.spin import SpinSpace, collective_op
 
 import fisher_ratio_oracle
 import records_json_oracle
-from conftest import FAMILY_PARAMETERS
-
-ROOT = pathlib.Path(__file__).resolve().parents[1]
+from conftest import FAMILY_PARAMETERS, scaling_runs
 
 CACHES = (spin._diagonal_op, wva._equal_superposition, wva._meter, fisher._meter_terms,
           circuits._dicke_embeddings, circuits._plus_all, circuits._plus_all_weight)
@@ -32,15 +28,6 @@ CACHES = (spin._diagonal_op, wva._equal_superposition, wva._meter, fisher._meter
 def clear_caches():
     for cache in CACHES:
         cache.cache_clear()
-
-
-def scaling_runs():
-    """(family, grid, parameter, g) of every results/ file, from scripts/run_scaling.py."""
-    spec = importlib.util.spec_from_file_location("run_scaling",
-                                                  ROOT / "scripts" / "run_scaling.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script.RUNS
 
 
 def record_bits(runs):
@@ -82,8 +69,8 @@ def test_cached_pieces_are_what_a_fresh_build_gives():
 
 def test_cached_arrays_are_read_only():
     arrays = [collective_op(SpinSpace(6), kind).entries for kind in spin.DIAGONAL_KINDS]
-    arrays += [wva.strategy_nonlinear_joint(6, 1e-3).psi_i.amplitudes,
-               wva.strategy_linear_optimal(6, 250.0).psi_i.amplitudes,
+    arrays += [FAMILIES["nonlinear_joint"].build(6, 1e-3).psi_i.amplitudes,
+               FAMILIES["linear_fixed_aw"].build(6, 250.0).psi_i.amplitudes,
                circuits._dicke_embeddings(4),
                circuits.embed_dicke(4, 0).amplitudes,
                circuits.reference_state(4, "plus_all").vector.amplitudes]
@@ -108,8 +95,8 @@ def test_a_cache_holds_one_entry_per_register_and_kind():
     assert circuits._dicke_embeddings.cache_info().currsize == 1
     assert circuits._plus_all.cache_info().currsize == 1
     assert circuits._plus_all_weight.cache_info().currsize == 2  # (200, 100), (200, 200)
-    assert (wva.strategy_near_deterministic(200, 0.3).A
-            is wva.strategy_nonlinear_joint(200, 1e-6).A)
+    assert (FAMILIES["near_deterministic"].build(200, 0.3).A
+            is FAMILIES["nonlinear_joint"].build(200, 1e-6).A)
     # a second size gives a second entry in each
     sweep("near_deterministic", [250], 0.01, g=1e-6)
     sweep("nonlinear_joint", [8], 1e-4)
@@ -144,10 +131,10 @@ def _hand_built_meter(strat, eta=0.3, cutoff=14):
 
 
 FISHER_POINTS = {
-    "nonlinear_default_meter": lambda: wva.strategy_nonlinear_joint(12, 1e-3, eta=0.05),
-    "near_deterministic_default_meter": lambda: wva.strategy_near_deterministic(400, 0.01,
-                                                                                g=1e-6),
-    "nonlinear_hand_built": lambda: _hand_built_meter(wva.strategy_nonlinear_joint(8, 1e-3)),
+    "nonlinear_default_meter": lambda: FAMILIES["nonlinear_joint"].build(12, 1e-3, eta=0.05),
+    "near_deterministic_default_meter": lambda: FAMILIES["near_deterministic"].build(
+        400, 0.01, g=1e-6),
+    "nonlinear_hand_built": lambda: _hand_built_meter(FAMILIES["nonlinear_joint"].build(8, 1e-3)),
     "uncorrelated_hand_built_n_squared": lambda: dataclasses.replace(
         _hand_built_meter(wva.strategy_uncorrelated(0.05)),
         B=Operator.from_diagonal(np.arange(15.0) ** 2)),
@@ -171,13 +158,13 @@ def test_the_fisher_report_is_that_of_the_unmemoized_oracle(point):
 
 def test_a_hand_built_meter_is_computed_once():
     fisher._meter_terms.cache_clear()
-    strat = _hand_built_meter(wva.strategy_nonlinear_joint(8, 1e-3))
+    strat = _hand_built_meter(FAMILIES["nonlinear_joint"].build(8, 1e-3))
     for g in (1e-5, 1e-4, 2e-4):
         postselected_fisher_ratio(wva.with_coupling(strat, g))
     info = fisher._meter_terms.cache_info()
     assert (info.misses, info.hits) == (1, 2)
     # an equal meter built again is another object, and another entry
-    postselected_fisher_ratio(_hand_built_meter(wva.strategy_nonlinear_joint(8, 1e-3)))
+    postselected_fisher_ratio(_hand_built_meter(FAMILIES["nonlinear_joint"].build(8, 1e-3)))
     assert fisher._meter_terms.cache_info().currsize == 2
     # with the memo warm, every other meter still reads its own moments
     for eta in (0.5, 0.05j):

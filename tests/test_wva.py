@@ -23,10 +23,6 @@ from wva_lab.wva import (
     postselect,
     postselection_state_fixed_Ps,
     sigma_advantage,
-    strategy_linear_fixed_sigma,
-    strategy_linear_optimal,
-    strategy_near_deterministic,
-    strategy_nonlinear_joint,
     strategy_uncorrelated,
     success_probability,
     weak_value,
@@ -56,7 +52,7 @@ def test_weak_value_qubit_example():
 
 
 def test_weak_value_nonlinear_value():
-    strat = strategy_nonlinear_joint(4, 1e-3)
+    strat = FAMILIES["nonlinear_joint"].build(4, 1e-3)
     aw = weak_value(strat.psi_i, strat.psi_f, strat.A)
     assert aw == pytest.approx(35.622776601684, abs=1e-9)
 
@@ -103,14 +99,14 @@ def test_success_probability_identical():
 def test_success_probability_nonlinear_pair(j):
     # oracle: closed-form inner product of the two-component states
     kappa = 0.08 / j**2  # keeps kappa j^2 < 0.1 for every j
-    strat = strategy_nonlinear_joint(2 * j, kappa)
+    strat = FAMILIES["nonlinear_joint"].build(2 * j, kappa)
     expect = kappa * j**2 / (1 + kappa * j**2)
     assert success_probability(strat.psi_i, strat.psi_f) == pytest.approx(expect, abs=1e-12)
 
 
 @pytest.mark.parametrize("eps", [0.01, 0.04, 0.25])
 def test_success_probability_near_deterministic(eps):
-    strat = strategy_near_deterministic(8, eps)
+    strat = FAMILIES["near_deterministic"].build(8, eps)
     assert success_probability(strat.psi_i, strat.psi_f) == pytest.approx(1 / (1 + eps), abs=1e-12)
 
 
@@ -239,7 +235,7 @@ def test_fixed_sigma_bound_scaling():
 
 
 def test_strategy_near_deterministic_example():
-    strat = strategy_near_deterministic(6, 0.04)  # j = 3
+    strat = FAMILIES["near_deterministic"].build(6, 0.04)  # j = 3
     aw = weak_value(strat.psi_i, strat.psi_f, strat.A)
     assert aw == pytest.approx(8.4, abs=1e-9)
 
@@ -253,7 +249,7 @@ def test_strategy_uncorrelated_success():
 
 def test_strategy_linear_optimal_hits_target():
     for aw in (5.0, 50.0, 500.0):
-        strat = strategy_linear_optimal(10, aw)
+        strat = FAMILIES["linear_fixed_aw"].build(10, aw)
         j = 5.0
         assert weak_value(strat.psi_i, strat.psi_f, strat.A) == pytest.approx(aw, rel=1e-12)
         assert success_probability(strat.psi_i, strat.psi_f) == pytest.approx(
@@ -262,7 +258,7 @@ def test_strategy_linear_optimal_hits_target():
 
 def test_strategy_linear_fixed_sigma_pins_success():
     c = 2.5e-3
-    strat = strategy_linear_fixed_sigma(12, c)
+    strat = FAMILIES["linear_fixed_sigma"].build(12, c)
     assert success_probability(strat.psi_i, strat.psi_f) == pytest.approx(12 * c, abs=1e-14)
     assert sigma_advantage(success_probability(strat.psi_i, strat.psi_f), 12, c) \
         == pytest.approx(1.0, abs=1e-11)
@@ -270,7 +266,7 @@ def test_strategy_linear_fixed_sigma_pins_success():
 
 def test_linear_strategy_half_integer_j():
     # odd two_j (half-integer j) is first-class for the linear families
-    strat = strategy_linear_optimal(5, 30.0)  # j = 5/2
+    strat = FAMILIES["linear_fixed_aw"].build(5, 30.0)  # j = 5/2
     assert weak_value(strat.psi_i, strat.psi_f, strat.A) == pytest.approx(30.0, rel=1e-12)
     res = postselect(strat)
     assert res.success_prob_zeroth == pytest.approx(2.5**2 / (2.5**2 + 900.0), rel=1e-12)
@@ -279,11 +275,11 @@ def test_linear_strategy_half_integer_j():
 
 def test_strategy_validation():
     with pytest.raises(ValueError, match="integer j"):
-        strategy_nonlinear_joint(5, 1e-3)
+        FAMILIES["nonlinear_joint"].build(5, 1e-3)
     with pytest.raises(ValueError, match="kappa"):
-        strategy_nonlinear_joint(40, 1e-2)  # kappa j^2 = 4
+        FAMILIES["nonlinear_joint"].build(40, 1e-2)  # kappa j^2 = 4
     with pytest.raises(ValueError, match="epsilon"):
-        strategy_near_deterministic(4, 1.5)
+        FAMILIES["near_deterministic"].build(4, 1.5)
 
 
 @pytest.mark.parametrize("eta", [np.nan, np.inf, complex(0.1, np.nan)])
@@ -329,15 +325,15 @@ def test_meter_cache_keeps_types_and_signed_zeros_apart(monkeypatch):
     # 0j == complex(-0.0, -0.0), but the second gives coherent amplitudes
     # with negative zeros in their imaginary parts
     for eta in (0.1, 0.1 + 0j, 0.0, 0j, complex(-0.0, -0.0)):
-        strat = strategy_nonlinear_joint(4, 1e-3, eta=eta)
+        strat = FAMILIES["nonlinear_joint"].build(4, 1e-3, eta=eta)
         fresh = wva.coherent_state(strat.meter_space, eta)
         assert strat.phi_i.amplitudes.tobytes() == fresh.amplitudes.tobytes()
     assert len(calls) == 2 * 5  # one cached build and one fresh state each
 
 
 def test_cached_meter_is_shared_and_read_only():
-    a = strategy_nonlinear_joint(4, 1e-3, eta=0.2)
-    b = strategy_linear_optimal(6, 250.0, eta=0.2)
+    a = FAMILIES["nonlinear_joint"].build(4, 1e-3, eta=0.2)
+    b = FAMILIES["linear_fixed_aw"].build(6, 250.0, eta=0.2)
     assert a.phi_i is b.phi_i and a.B is b.B and a.meter_space is b.meter_space
     for arr in (a.phi_i.amplitudes, a.B.entries):
         assert not arr.flags.writeable
@@ -351,7 +347,7 @@ def test_consistency_chain():
     # which shifts the exact weak value up by sqrt(kappa)(j + 2) relative).
     for j in range(2, 21, 2):
         kappa = 2e-4
-        strat = strategy_nonlinear_joint(2 * j, kappa)
+        strat = FAMILIES["nonlinear_joint"].build(2 * j, kappa)
         ps = success_probability(strat.psi_i, strat.psi_f)
         assert ps == pytest.approx(kappa * j**2 / (1 + kappa * j**2), abs=1e-13)
         aw = weak_value(strat.psi_i, strat.psi_f, strat.A)
@@ -361,7 +357,7 @@ def test_consistency_chain():
         assert abs(aw) / bound == pytest.approx(1 + np.sqrt(kappa) * (j + 2), rel=1e-9)
     ratios = []
     for kappa in (1e-4, 1e-6, 1e-8):
-        strat = strategy_nonlinear_joint(20, kappa)
+        strat = FAMILIES["nonlinear_joint"].build(20, kappa)
         aw = abs(weak_value(strat.psi_i, strat.psi_f, strat.A))
         ratios.append(aw / max_weak_value_bound(strat.psi_i, strat.A, kappa * 100))
     assert ratios[0] > ratios[1] > ratios[2] > 1.0
@@ -372,14 +368,14 @@ def test_consistency_chain():
 
 
 def test_postselect_zero_coupling():
-    strat = strategy_nonlinear_joint(4, 1e-3, g=0.0)
+    strat = FAMILIES["nonlinear_joint"].build(4, 1e-3, g=0.0)
     res = postselect(strat)
     assert fidelity(res.kicked_meter_exact, strat.phi_i) == pytest.approx(1.0, abs=1e-12)
     assert res.success_prob_exact == pytest.approx(res.success_prob_zeroth, abs=1e-14)
 
 
 def test_postselect_firstorder_fidelity_weak_regime():
-    strat = strategy_nonlinear_joint(4, 1e-2, g=1e-4)
+    strat = FAMILIES["nonlinear_joint"].build(4, 1e-2, g=1e-4)
     res = postselect(strat)
     assert res.fidelity_exact_vs_firstorder >= 1 - 1e-6
 
@@ -398,10 +394,10 @@ def test_postselect_success_shift_linear_in_g():
 
 def test_postselect_fidelity_bound_on_presets():
     presets = [
-        strategy_nonlinear_joint(8, 1e-3),
-        strategy_near_deterministic(8, 0.04),
-        strategy_linear_optimal(8, 30.0),
-        strategy_linear_fixed_sigma(8, 2.5e-3),
+        FAMILIES["nonlinear_joint"].build(8, 1e-3),
+        FAMILIES["near_deterministic"].build(8, 0.04),
+        FAMILIES["linear_fixed_aw"].build(8, 30.0),
+        FAMILIES["linear_fixed_sigma"].build(8, 2.5e-3),
         strategy_uncorrelated(0.1),
     ]
     for strat in presets:
@@ -429,7 +425,7 @@ def test_readout_real_weak_value_is_second_order():
     shifts = []
     gs = (1e-4, 2e-4, 4e-4)
     for g in gs:
-        strat = strategy_nonlinear_joint(4, 1e-3, g=g)
+        strat = FAMILIES["nonlinear_joint"].build(4, 1e-3, g=g)
         res = postselect(strat)
         n_op = op_number(strat.meter_space)
         exact, formula = meter_readout(res, n_op, strat)
@@ -459,8 +455,8 @@ def test_with_coupling_replaces_g():
 
 @pytest.mark.parametrize("g", [np.nan, np.inf, -np.inf])
 def test_strategy_rejects_a_non_finite_coupling(g):
-    strat = strategy_nonlinear_joint(4, 1e-3)
-    for make in (lambda: strategy_nonlinear_joint(4, 1e-3, g=g),
+    strat = FAMILIES["nonlinear_joint"].build(4, 1e-3)
+    for make in (lambda: FAMILIES["nonlinear_joint"].build(4, 1e-3, g=g),
                  lambda: with_coupling(strat, g),
                  lambda: dataclasses.replace(strat, g=g)):
         with pytest.raises(ValueError, match="g must be finite"):
@@ -489,7 +485,7 @@ def test_an_overflowing_kick_phase_names_g(name):
     # phases (and inf * 0) before it failed on a NaN norm
     def build(g):
         if name == "nonlinear":
-            return strategy_nonlinear_joint(4, 1e-3, g=float(g))
+            return FAMILIES["nonlinear_joint"].build(4, 1e-3, g=float(g))
         return strategy_uncorrelated(0.3, g=float(g))  # the dense-A eigenbasis path
     strat = build(1.0)
     b_max = float(np.max(strat.B.entries.real))
@@ -512,7 +508,7 @@ def test_an_overflowing_kick_phase_names_g(name):
 
 def test_postselect_diagonal_and_dense_paths_agree():
     # dual route: the phase path on psi_i's rows vs the eigenbasis of a dense A
-    strat = strategy_nonlinear_joint(6, 1e-3, g=2e-4)
+    strat = FAMILIES["nonlinear_joint"].build(6, 1e-3, g=2e-4)
     dense_a = Operator(strat.A.dim, strat.A.dense(), hermitian=True)
     dense = dataclasses.replace(strat, A=dense_a)
     fast = postselect(strat)
@@ -524,8 +520,8 @@ def test_postselect_diagonal_and_dense_paths_agree():
                                slow.kicked_meter_exact.amplitudes, atol=1e-12)
 
 
-@pytest.mark.parametrize("strat", [strategy_nonlinear_joint(6, 1e-3, g=2e-3, eta=0.3),
-                                   strategy_linear_optimal(5, 40.0, g=1e-3, eta=0.3)],
+@pytest.mark.parametrize("strat", [FAMILIES["nonlinear_joint"].build(6, 1e-3, g=2e-3, eta=0.3),
+                                   FAMILIES["linear_fixed_aw"].build(5, 40.0, g=1e-3, eta=0.3)],
                          ids=["nonlinear", "linear"])
 def test_evolved_joint_matches_dense_oracle(strat):
     # oracle: exp(-i g A (x) B) assembled densely, applied to psi_i (x) phi_i
@@ -553,7 +549,7 @@ def test_evolved_joint_eigenbasis_kick_matches_dense_oracle(rng, random_b):
 
 
 def test_strategy_records_overlap_at_construction():
-    strat = strategy_nonlinear_joint(8, 1e-3)
+    strat = FAMILIES["nonlinear_joint"].build(8, 1e-3)
     assert strat.initial_overlap == pytest.approx(inner(strat.psi_f, strat.psi_i))
     assert abs(strat.initial_overlap) ** 2 == pytest.approx(
         success_probability(strat.psi_i, strat.psi_f))
