@@ -39,7 +39,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .families import check_ancilla
+from .families import check_ancilla, require_register
 from .linalg import StateVector, _read_only
 from .spin import SpinSpace
 
@@ -49,17 +49,6 @@ from .spin import SpinSpace
 MAX_REGISTER_TWO_J = 10
 
 REFERENCE_KINDS = ("plus_all", "dicke_superposition")
-
-
-@dataclass(frozen=True)
-class ReferenceState:
-    """Reference vector |zeta> on one 2j-qubit register."""
-
-    kind: str
-    two_j: int
-    vector: StateVector
-    m1: float | None = None
-    m2: float | None = None
 
 
 @dataclass(frozen=True)
@@ -77,8 +66,7 @@ class MeasureCircuitResult:
 
 
 def _check_register(two_j: int):
-    if two_j < 1:
-        raise ValueError("two_j must be a positive integer")
+    require_register(two_j)
     if two_j > MAX_REGISTER_TWO_J:
         raise ValueError(
             f"register too large for brute-force simulation (two_j = {two_j} > "
@@ -115,16 +103,10 @@ def _dicke_embeddings(two_j: int) -> np.ndarray:
     return _read_only(rows)
 
 
-def embed_dicke(two_j: int, m: float) -> StateVector:
-    """|j,m> as the uniform superposition of bitstrings with j+m ones,
-    amplitude 1/sqrt(C(2j, j+m)), in a 2^(2j)-dimensional register."""
-    _check_register(two_j)
-    amps = _dicke_embeddings(two_j)[SpinSpace(two_j).index_of(m)]
-    return StateVector(dim=amps.size, amplitudes=amps)
-
-
 def reference_state(two_j: int, kind: str, m1: float | None = None,
-                    m2: float | None = None) -> ReferenceState:
+                    m2: float | None = None) -> StateVector:
+    """The reference |zeta> on one 2j-qubit register: |+>^(2j) for
+    "plus_all", (|j,m1> + |j,m2>)/sqrt2 embedded for "dicke_superposition"."""
     _check_register(two_j)
     if kind == "plus_all":
         return _plus_all(two_j)
@@ -133,39 +115,32 @@ def reference_state(two_j: int, kind: str, m1: float | None = None,
             raise ValueError("dicke_superposition reference needs m1 and m2")
         embs, space = _dicke_embeddings(two_j), SpinSpace(two_j)
         amps = (embs[space.index_of(m1)] + embs[space.index_of(m2)]) / sqrt(2.0)
-        return ReferenceState(kind=kind, two_j=two_j, vector=StateVector.of(amps),
-                              m1=m1, m2=m2)
+        return StateVector.of(amps)
     raise ValueError(f"unknown reference kind {kind!r}; valid: {REFERENCE_KINDS}")
 
 
 @lru_cache(maxsize=MAX_REGISTER_TWO_J)
-def _plus_all(two_j: int) -> ReferenceState:
+def _plus_all(two_j: int) -> StateVector:
     """|+>^(2j), built once per register size and shared (it is frozen)."""
     dim = 2**two_j
-    vec = StateVector(dim=dim, amplitudes=_read_only(np.full(dim, 2.0 ** (-two_j / 2.0),
-                                                             dtype=complex)))
-    return ReferenceState(kind="plus_all", two_j=two_j, vector=vec)
+    return StateVector(dim=dim, amplitudes=_read_only(np.full(dim, 2.0 ** (-two_j / 2.0),
+                                                              dtype=complex)))
 
 
-def reference_overlap(zeta: ReferenceState, m: float) -> complex:
-    """<j,m|zeta> with the embedded (normalized) Dicke state."""
-    return complex(np.vdot(embed_dicke(zeta.two_j, m).amplitudes, zeta.vector.amplitudes))
-
-
-def _circuit_levels(two_j: int, m1: float, m2: float, zeta: ReferenceState):
+def _circuit_levels(two_j: int, m1: float, m2: float, zeta: StateVector):
     """The embeddings of every level, those of m1 and m2, and the reference
     overlaps <j,m1|zeta> and <j,m2|zeta>, which must not vanish."""
     embs = _dicke_embeddings(two_j)
     space = SpinSpace(two_j)
     emb1, emb2 = embs[space.index_of(m1)], embs[space.index_of(m2)]
-    z1, z2 = (complex(np.vdot(emb, zeta.vector.amplitudes)) for emb in (emb1, emb2))
+    z1, z2 = (complex(np.vdot(emb, zeta.amplitudes)) for emb in (emb1, emb2))
     if abs(z1) < 1e-14 or abs(z2) < 1e-14:
         raise ValueError("reference state must overlap both Dicke components")
     return embs, emb1, emb2, z1, z2
 
 
 def prep_circuit(two_j: int, m1: float, m2: float, alpha: complex, beta: complex,
-                 zeta: ReferenceState) -> PrepCircuitResult:
+                 zeta: StateVector) -> PrepCircuitResult:
     """Run the non-deterministic superposition-preparation circuit by brute
     force and return the conditional middle-register state in the Dicke basis.
 
@@ -188,7 +163,7 @@ def prep_circuit(two_j: int, m1: float, m2: float, alpha: complex, beta: complex
     # not swapped and writes the rows S1; the swap moves branch 1 onto
     # S2 x S1, rows S2. The rows are disjoint, so no sum adds the branches.
     w = np.array([abs(z1), abs(z2)])
-    zeta_conj = zeta.vector.amplitudes.conj()
+    zeta_conj = zeta.amplitudes.conj()
     middle = np.zeros(2**two_j, dtype=complex)
     middle[s1] = np.einsum("a,aik,k->i", w[:1], branches[:1], zeta_conj[s2])
     middle[s2] = np.einsum("a,aik,k->i", w[1:], np.swapaxes(branches[1:], 1, 2).copy(),
@@ -265,7 +240,7 @@ def _embed_joint(block: np.ndarray, embs: np.ndarray, rows: np.ndarray) -> np.nd
 
 
 def measure_circuit(two_j: int, joint_state: StateVector, m1: float, m2: float,
-                    alpha: complex, beta: complex, zeta: ReferenceState,
+                    alpha: complex, beta: complex, zeta: StateVector,
                     meter_dim: int) -> MeasureCircuitResult:
     """Run the postselection-measurement circuit by brute force.
 
@@ -290,7 +265,7 @@ def measure_circuit(two_j: int, joint_state: StateVector, m1: float, m2: float,
     # the joint state on S2 and zeta on S1.
     s1, s2 = np.flatnonzero(emb1), np.flatnonzero(emb2)
     block = joint_state.amplitudes.reshape(two_j + 1, meter_dim)
-    zeta_amps = zeta.vector.amplitudes
+    zeta_amps = zeta.amplitudes
     kept = np.einsum("a,if,k->aikf", anc[:1], _embed_joint(block, embs, s1), zeta_amps[s2])
     swapped = np.einsum("a,if,k->aikf", anc[1:], _embed_joint(block, embs, s2), zeta_amps[s1])
     branches = np.concatenate([kept, np.swapaxes(swapped, 1, 2)])  # (2, |S1|, |S2|, meter)
@@ -302,23 +277,19 @@ def measure_circuit(two_j: int, joint_state: StateVector, m1: float, m2: float,
 
 
 def measure_probability_analytic(two_j: int, m1: float, m2: float,
-                                 zeta: ReferenceState | str, success_prob: float) -> float:
+                                 zeta_kind: str, success_prob: float) -> float:
     """Closed-form measurement probability: the reference-overlap prefactor
     |z1|^2 |z2|^2 / (|z1|^2 + |z2|^2) times the exact postselection
     probability P_s = ||<psi_f|Psi>||^2 of a target ket psi_f supported on
     |j,m1> and |j,m2> (`measure_circuit` implements |psi_f><psi_f| on the
-    system, so only the prefactor depends on the circuit).
-
-    Accepts a reference kind string so it works beyond the brute-force
-    register cap.
+    system, so only the prefactor depends on the circuit). The reference is
+    named by its kind, so this works beyond the brute-force register cap.
     """
-    if isinstance(zeta, ReferenceState):
-        p1, p2 = (abs(reference_overlap(zeta, m)) ** 2 for m in (m1, m2))
-    elif zeta == "plus_all":
+    if zeta_kind == "plus_all":
         space = SpinSpace(two_j)
         p1, p2 = (_plus_all_weight(two_j, space.index_of(m)) for m in (m1, m2))
-    elif zeta == "dicke_superposition":
+    elif zeta_kind == "dicke_superposition":
         p1 = p2 = 0.5
     else:
-        raise ValueError(f"unknown reference kind {zeta!r}; valid: {REFERENCE_KINDS}")
+        raise ValueError(f"unknown reference kind {zeta_kind!r}; valid: {REFERENCE_KINDS}")
     return p1 * p2 / (p1 + p2) * success_prob

@@ -10,9 +10,19 @@ Every number printed comes from a library call; the CLI only formats
 produce byte-identical output.
 
 At load this module imports only the standard library and the family table.
-Each subcommand checks every setting first and then imports the library
-modules it runs, so a rejected call never loads NumPy and `circuit-prep`
-loads no `dynamics`, `experiments` or `fisher`.
+Each subcommand then imports only the library modules it runs, so
+`circuit-prep` loads no `dynamics`, `experiments` or `fisher`. The argument
+checks run before that import, so a call they reject never loads NumPy:
+config types, the finiteness of the family parameter and of m1 and m2, the
+family row of `weak-value`, `circuit-measure` and `fisher` (one parameter,
+the integer-j rule, the parameter range, and the register rule where the row
+carries it), the family, size range and format of `scaling`, and the
+ancilla. The model, level and meter checks run in the library, after NumPy
+has loaded: the Dicke levels and the register of the circuits, the
+dynamics parameters and `store_every`, the register of a row that does not
+carry the rule, the parameter range of a `scaling` record, the coupling g
+and the meter amplitude. Either way a rejected call exits 2 with one
+`error:` line.
 """
 
 from __future__ import annotations

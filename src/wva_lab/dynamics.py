@@ -39,7 +39,8 @@ dim x dim matrices, for the test oracles and the recorded benchmark
 references; the independent check that H(t) conserves 2Jz + n
 (`conservation_residual`) forms only its nonzero elements, against the
 charge of `conserved_charge`. `effective_model_fidelity` is the one
-evolution entry point: its trace holds both models' states.
+evolution entry point: its trace holds the oscillating model's states and
+the fidelity at the stored times.
 """
 
 from __future__ import annotations
@@ -114,13 +115,12 @@ class TwoPhotonTCParams:
 
 @dataclass(frozen=True)
 class EvolutionTrace:
-    """Both models at the stored times. `full_states` and `effective_states`
-    are read-only (len(times), dim) complex arrays, one state per row;
+    """The oscillating model at the stored times. `full_states` is a
+    read-only (len(times), dim) complex array, one state per row;
     `fidelities` holds |<full|effective>|^2 at the stored times."""
 
     times: np.ndarray
     full_states: np.ndarray
-    effective_states: np.ndarray
     fidelities: np.ndarray
     max_norm_drift: float
 
@@ -191,8 +191,8 @@ def _charge_blocks(q: np.ndarray):
 
 @lru_cache(maxsize=16, typed=True)
 def _register_model(two_j: int, fock_cutoff: int) -> _ModelVectors:
-    """The pieces of the model from the element formulas of `collective_op`,
-    `op_annihilate` @ itself, `nonlinear_observable` and `conserved_charge`,
+    """The pieces of the model from the element formulas of `collective_op`
+    (jplus and nonlinear), `op_annihilate` @ itself and `conserved_charge`,
     so each equals what those dense objects give bit for bit, without
     building them."""
     space = SpinSpace(two_j)
@@ -279,8 +279,9 @@ def _frame_propagator(params: TwoPhotonTCParams, psi0: StateVector):
     per block size with a live block, with shapes (b, s), (b, s), (b, s, s)
     and (b, s): V[b, :, k] is eigenvector k of live block b on the joint
     indices idx[b]."""
-    if abs(psi0.norm() - 1.0) > 1e-10:
-        raise ValueError("psi0 must be normalized")
+    drift = abs(psi0.norm() - 1.0)
+    if not drift <= NORM_TOL:  # a NaN norm fails too
+        raise ValueError(f"state not normalized: |norm - 1| = {drift:.3e}")
     if psi0.dim != params.joint_dim:
         raise ValueError("psi0 must live on the joint space")
     model, amps = _model_vectors(params), psi0.amplitudes
@@ -370,18 +371,6 @@ def effective_generator_diag(params: TwoPhotonTCParams,
     return params.g_dispersive * model.leading
 
 
-def _effective_states(gen, psi0: StateVector, times):
-    """exp(-i G t) psi0 for the effective generator diagonal G at `times`,
-    one read-only row per time; each row must be within NORM_TOL of unit
-    norm."""
-    states = np.exp(-1j * gen * times[:, None]) * psi0.amplitudes
-    drift = np.abs(np.linalg.norm(states, axis=1) - 1.0)
-    if not np.all(drift <= NORM_TOL):
-        raise ValueError(f"state not normalized: |norm - 1| = {np.max(drift):.3e}")
-    states.setflags(write=False)
-    return states
-
-
 def _pair_terms(psi0: StateVector, frame, gen):
     """Weights W and frequencies w with <psi_full(t)|psi_eff(t)> =
     sum_f W_f e^{i w_f t}.
@@ -468,9 +457,9 @@ def effective_model_fidelity(params: TwoPhotonTCParams, psi0: StateVector,
 
     Fidelity |<psi_full|psi_eff>|^2 is evaluated at *every* point of
     `time_grid` (the fast micromotion sets the minimum, so dt sets how finely
-    it is sampled), while states enter the trace only every `store_every`
-    points. The default leading generator applies to Jz = 0 system states
-    only; see `effective_generator_diag`.
+    it is sampled), while the oscillating model's states enter the trace only
+    every `store_every` points. The default leading generator applies to
+    Jz = 0 system states only; see `effective_generator_diag`.
     """
     nsteps, dt, stored = time_grid(params, store_every)
     frame = _frame_propagator(params, psi0)
@@ -480,13 +469,8 @@ def effective_model_fidelity(params: TwoPhotonTCParams, psi0: StateVector,
     fids = _fidelity_scan(*_pair_terms(psi0, frame, gen), nsteps, dt)
     times = stored * dt
     full_states, drift = _full_states(frame, times)
-    trace = EvolutionTrace(
-        times=times,
-        full_states=full_states,
-        effective_states=_effective_states(gen, psi0, times),
-        fidelities=fids[stored],
-        max_norm_drift=drift,
-    )
+    trace = EvolutionTrace(times=times, full_states=full_states, fidelities=fids[stored],
+                           max_norm_drift=drift)
     return float(np.min(fids)), trace
 
 

@@ -1,13 +1,13 @@
 """Scaling sweeps over register size and log-log exponent fits, plus the
 CSV/JSON record emission used by the CLI.
 
-The strategy-family table FAMILIES lives in `families` and is re-exported
-here. A family's sigma baseline is recorded in every JSON header:
-"fixed_weak_value" compares against an uncorrelated single probe tuned to the
-*same* weak value, under which the collective linear strategy shows
-sigma ~ j; "fixed_per_probe_success" compares against an uncorrelated probe
-whose success probability is held fixed across j (postselection angle
-BASELINE_THETA), the at-least-one-click comparison.
+The strategy-family table FAMILIES lives in `families`; every record builds
+its strategy through the family's row. A family's sigma baseline is recorded
+in every JSON header: "fixed_weak_value" compares against an uncorrelated
+single probe tuned to the *same* weak value, under which the collective
+linear strategy shows sigma ~ j; "fixed_per_probe_success" compares against
+an uncorrelated probe whose success probability is held fixed across j
+(postselection angle BASELINE_THETA), the at-least-one-click comparison.
 
 Everything is closed-form or deterministic arithmetic; two runs with the
 same configuration produce byte-identical output. A record evolves and
@@ -44,7 +44,6 @@ from .wva import (
     WeakValueStrategy,
     collective_success,
     sigma_advantage,
-    success_probability,
 )
 
 
@@ -89,10 +88,9 @@ def _lookup(family: str) -> Family:
 def _sigma_for(fam: Family, two_j: int, parameter: float, ps: float,
                baseline_theta: float) -> float:
     if fam.levels is None:  # 2j independent probes, each succeeding with ps
-        return sigma_advantage(collective_success(ps, two_j).exact, two_j, ps)
+        return sigma_advantage(collective_success(ps, two_j), two_j, ps)
     if fam.sigma_baseline == "fixed_weak_value":
-        probe = fam.build(1, parameter)
-        return sigma_advantage(ps, two_j, success_probability(probe.psi_i, probe.psi_f))
+        return sigma_advantage(ps, two_j, fam.build(1, parameter).success_probability())
     return sigma_advantage(ps, two_j, sin(baseline_theta) ** 2)
 
 
@@ -124,8 +122,7 @@ def _one_record(fam: Family, two_j: int, parameter: float, g: float, eta: comple
     strat = fam.build(two_j, parameter, g=g, eta=eta)
     # the one evolution and projection of the joint state in a record
     report = fisher.postselected_fisher_ratio(strat)
-    # `success_probability` from the overlap the strategy already holds
-    ps = min(abs(strat.initial_overlap) ** 2, 1.0)
+    ps = strat.success_probability()
     sigma = _sigma_for(fam, two_j, parameter, ps, baseline_theta)
     prep = meas = None
     if with_circuits and fam.levels is not None:

@@ -46,14 +46,10 @@ def _moments(op: Operator, state: StateVector) -> tuple[float, float]:
 
 
 def _product_qfi(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """4 [<A^2><B^2> - (<A><B>)^2] from the `_moments` of the two factors."""
-    return 4.0 * (a[1] * b[1] - (a[0] * b[0]) ** 2)
-
-
-def qfi_product(A: Operator, psi: StateVector, B: Operator, phi: StateVector) -> float:
     """QFI of exp(-i g A (x) B) on a product state, without assembling the
-    joint operator: 4 [<A^2><B^2> - (<A><B>)^2]."""
-    return _product_qfi(_moments(A, psi), _moments(B, phi))
+    joint operator: 4 [<A^2><B^2> - (<A><B>)^2] from the `_moments` of the
+    two factors."""
+    return 4.0 * (a[1] * b[1] - (a[0] * b[0]) ** 2)
 
 
 class _Same:

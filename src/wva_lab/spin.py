@@ -113,8 +113,9 @@ def _summed_terms(space: SpinSpace, terms) -> np.ndarray:
 def collective_op(space: SpinSpace, kind: str) -> Operator:
     """Collective operator of the requested kind.
 
-    jz, j2 and the nonlinear observable are diagonal in the Dicke basis and
-    shared per (two_j, kind); jplus/jminus carry the usual ladder elements
+    jz, j2 and the nonlinear observable J^2 - Jz^2 (eigenvalue j(j+1) on
+    |j,0>, j on |j,+-j>) are diagonal in the Dicke basis and shared per
+    (two_j, kind); jplus/jminus carry the usual ladder elements
     sqrt(j(j+1) - m(m+-1)).
     """
     if kind in DIAGONAL_KINDS:
@@ -144,11 +145,6 @@ def _diagonal_op(two_j: int, kind: str) -> Operator:
     if kind == "j2":
         return Operator.from_diagonal(np.full(space.dim, j * (j + 1)))
     return Operator.from_diagonal(j * (j + 1) - m**2)
-
-
-def nonlinear_observable(space: SpinSpace) -> Operator:
-    """J^2 - Jz^2: eigenvalue j(j+1) on |j,0>, j on |j,+-j>."""
-    return collective_op(space, "nonlinear")
 
 
 def variance(op: Operator, state: StateVector) -> float:

@@ -22,11 +22,9 @@ Conventions worth knowing before reading on:
 from __future__ import annotations
 
 import cmath
-import dataclasses
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import copysign, cos, sin, sqrt
-from typing import NamedTuple
 
 import numpy as np
 
@@ -83,7 +81,17 @@ class WeakValueStrategy:
         object.__setattr__(self, "initial_overlap", inner(self.psi_f, self.psi_i))
 
     def weak_value(self) -> complex:
-        return _weak_value(self.initial_overlap, self.psi_i, self.psi_f, self.A)
+        """<psi_f|A|psi_i> / <psi_f|psi_i>; invariant under global phases and
+        (un)normalization of either state. Orthogonal pairs are a hard error,
+        never a large-number fallback."""
+        ov = self.initial_overlap
+        if abs(ov) <= OVERLAP_EPS * (self.psi_i.norm() * self.psi_f.norm()):
+            raise NullPostselectionError("undefined weak value: <psi_f|psi_i> = 0", ov)
+        return inner(self.psi_f, apply(self.A, self.psi_i)) / ov
+
+    def success_probability(self) -> float:
+        """|<psi_f|psi_i>|^2 for normalized states."""
+        return min(abs(self.initial_overlap) ** 2, 1.0)
 
 
 @dataclass(frozen=True)
@@ -96,39 +104,11 @@ class PostselectionResult:
     fidelity_exact_vs_firstorder: float
 
 
-class CollectiveSuccess(NamedTuple):
-    exact: float
-    linearized: float
-    difference: float
-
-
-def weak_value(psi_i: StateVector, psi_f: StateVector, A: Operator) -> complex:
-    """<psi_f|A|psi_i> / <psi_f|psi_i>; invariant under global phases and
-    (un)normalization of either state. Orthogonal pairs are a hard error,
-    never a large-number fallback."""
-    return _weak_value(inner(psi_f, psi_i), psi_i, psi_f, A)
-
-
-def _weak_value(ov: complex, psi_i: StateVector, psi_f: StateVector, A: Operator) -> complex:
-    """`weak_value` with the overlap ov = <psi_f|psi_i> given."""
-    scale = psi_i.norm() * psi_f.norm()
-    if abs(ov) <= OVERLAP_EPS * scale:
-        raise NullPostselectionError("undefined weak value: <psi_f|psi_i> = 0", ov)
-    return inner(psi_f, apply(A, psi_i)) / ov
-
-
-def success_probability(psi_i: StateVector, psi_f: StateVector) -> float:
-    """|<psi_f|psi_i>|^2 for normalized states."""
-    return min(abs(inner(psi_f, psi_i)) ** 2, 1.0)
-
-
-def collective_success(single_ps: float, two_j: int) -> CollectiveSuccess:
+def collective_success(single_ps: float, two_j: int) -> float:
     """Probability that at least one of 2j independent probes clicks."""
     if not 0.0 <= single_ps <= 1.0:
         raise ValueError("single-probe success probability must lie in [0, 1]")
-    exact = 1.0 - (1.0 - single_ps) ** two_j
-    linearized = two_j * single_ps
-    return CollectiveSuccess(exact=exact, linearized=linearized, difference=exact - linearized)
+    return 1.0 - (1.0 - single_ps) ** two_j
 
 
 def sigma_advantage(p_collective: float, two_j: int, p_single: float) -> float:
@@ -312,7 +292,7 @@ def postselect(strategy: WeakValueStrategy) -> PostselectionResult:
     return PostselectionResult(
         weak_value=a_w,
         success_prob_exact=prob,
-        success_prob_zeroth=success_probability(strategy.psi_i, strategy.psi_f),
+        success_prob_zeroth=strategy.success_probability(),
         kicked_meter_exact=kicked_exact,
         kicked_meter_firstorder=kicked_fo,
         fidelity_exact_vs_firstorder=fidelity(kicked_exact, kicked_fo),
@@ -341,8 +321,3 @@ def centered_quadrature(strategy: WeakValueStrategy) -> Operator:
     x_op = Operator(a.dim, x, hermitian=True)
     mean = expectation(x_op, strategy.phi_i).real
     return Operator(a.dim, x - mean * np.eye(a.dim), hermitian=True)
-
-
-def with_coupling(strategy: WeakValueStrategy, g: float) -> WeakValueStrategy:
-    """Copy of the strategy at a different impulse area."""
-    return dataclasses.replace(strategy, g=g)

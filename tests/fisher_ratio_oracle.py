@@ -8,7 +8,7 @@ import numpy as np
 from wva_lab.fisher import FisherReport
 from wva_lab.linalg import apply, expectation, project_left
 from wva_lab.spin import variance
-from wva_lab.wva import evolved_joint, weak_value
+from wva_lab.wva import evolved_joint
 
 
 def qfi_product(A, psi, B, phi) -> float:
@@ -21,7 +21,7 @@ def qfi_product(A, psi, B, phi) -> float:
 
 
 def postselected_fisher_ratio(strategy) -> FisherReport:
-    a_w = weak_value(strategy.psi_i, strategy.psi_f, strategy.A)
+    a_w = strategy.weak_value()
     eta_abs = float(np.sqrt(variance(strategy.B, strategy.phi_i)))
     kick_scale = eta_abs * strategy.g * abs(a_w)
     total = qfi_product(strategy.A, strategy.psi_i, strategy.B, strategy.phi_i)

@@ -4,8 +4,9 @@ reference that `wva_lab.circuits.prep_circuit` and `measure_circuit`, which
 simulate only the support of the two Dicke embeddings, are checked against
 byte for byte.
 
-Dicke states are embedded by a loop over every register index, so the
-vectorized `circuits.embed_dicke` is checked along the way.
+Dicke states are embedded by a loop over every register index
+(`embed_dicke_loop`), the reference for the rows of the vectorized
+`circuits._dicke_embeddings`.
 """
 
 from dataclasses import dataclass
@@ -58,14 +59,15 @@ def embed_dicke_loop(two_j, m):
     return amps
 
 
-def _overlap(zeta, m):
-    return complex(np.vdot(embed_dicke_loop(zeta.two_j, m), zeta.vector.amplitudes))
+def _overlap(two_j, zeta, m):
+    """<j,m|zeta> for the reference state `zeta` on one register."""
+    return complex(np.vdot(embed_dicke_loop(two_j, m), zeta.amplitudes))
 
 
 def full_prep_circuit(two_j, m1, m2, alpha, beta, zeta):
     """The preparation circuit on the full register; same conventions and
     return value as `circuits.prep_circuit`."""
-    z1, z2 = _overlap(zeta, m1), _overlap(zeta, m2)
+    z1, z2 = _overlap(two_j, zeta, m1), _overlap(two_j, zeta, m2)
     d = 2**two_j
     emb1 = embed_dicke_loop(two_j, m1)
     emb2 = embed_dicke_loop(two_j, m2)
@@ -75,7 +77,7 @@ def full_prep_circuit(two_j, m1, m2, alpha, beta, zeta):
 
     w = np.array([abs(z1), abs(z2)])
     block = r2.amplitudes.reshape(2, d, d)
-    middle = np.einsum("a,aik,k->i", w, block, zeta.vector.amplitudes.conj())
+    middle = np.einsum("a,aik,k->i", w, block, zeta.amplitudes.conj())
     success = float(np.vdot(middle, middle).real)
 
     space = SpinSpace(two_j)
@@ -94,7 +96,7 @@ def full_prep_circuit(two_j, m1, m2, alpha, beta, zeta):
 def full_measure_circuit(two_j, joint_state, m1, m2, alpha, beta, zeta, meter_dim):
     """The measurement circuit on the full register (times the meter); same
     conventions and return value as `circuits.measure_circuit`."""
-    z1, z2 = _overlap(zeta, m1), _overlap(zeta, m2)
+    z1, z2 = _overlap(two_j, zeta, m1), _overlap(two_j, zeta, m2)
     lam = 1.0 / sqrt(abs(z1) ** 2 + abs(z2) ** 2)
     nu = lam * np.array([np.conj(z1), np.conj(z2)])
     anc = np.array([np.conj(alpha), np.conj(beta)])
@@ -104,7 +106,7 @@ def full_measure_circuit(two_j, joint_state, m1, m2, alpha, beta, zeta, meter_di
     psi_emb = np.zeros((2**two_j, meter_dim), dtype=complex)
     for k, m in enumerate(space.m_values()):
         psi_emb += np.outer(embed_dicke_loop(two_j, m), block[k])
-    amps = np.einsum("a,if,k->aikf", anc, psi_emb, zeta.vector.amplitudes)
+    amps = np.einsum("a,if,k->aikf", anc, psi_emb, zeta.amplitudes)
     swapped = amps.copy()
     swapped[1] = np.transpose(amps[1], (1, 0, 2))
 

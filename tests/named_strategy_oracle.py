@@ -6,7 +6,7 @@ bit for bit, error message for error message."""
 from math import sqrt
 
 from wva_lab.families import require_integer_j
-from wva_lab.spin import SpinSpace, collective_op, nonlinear_observable, superpose_dicke
+from wva_lab.spin import SpinSpace, collective_op, superpose_dicke
 from wva_lab.wva import (
     DEFAULT_ETA,
     DEFAULT_G,
@@ -68,7 +68,7 @@ def strategy_nonlinear_joint(two_j: int, kappa: float, *, g: float = DEFAULT_G,
     if kappa <= 0.0 or kappa * j**2 >= 0.1:
         raise ValueError(f"need 0 < kappa * j^2 < 0.1; got {kappa * j**2:.3g}")
     psi_i = _equal_superposition(two_j, 0.0, -j)
-    A = nonlinear_observable(space)
+    A = collective_op(space, "nonlinear")
     psi_f = postselection_state_fixed_Ps(psi_i, A, kappa * j**2, approx_small_ps=True)
     meter_space, phi_i, B = _default_meter(eta)
     return WeakValueStrategy(space, psi_i, psi_f, A, meter_space, phi_i, B, g)
@@ -85,7 +85,7 @@ def strategy_near_deterministic(two_j: int, epsilon: float, *, g: float = DEFAUL
     space = SpinSpace(two_j)
     j = space.j
     psi_i = _equal_superposition(two_j, 0.0, -j)
-    A = nonlinear_observable(space)
+    A = collective_op(space, "nonlinear")
     root = sqrt(epsilon)
     psi_f = superpose_dicke(space, [(0.0, 1.0 + root), (-j, 1.0 - root)])
     meter_space, phi_i, B = _default_meter(eta)

@@ -15,6 +15,7 @@ Grid conventions used below, chosen once and documented here:
   covers the bias (two_j in {200..600}, bias ~ 0.01).
 """
 
+import dataclasses
 import json
 import time
 from math import sqrt
@@ -28,14 +29,13 @@ from wva_lab.boson import FockSpace, coherent_state
 from wva_lab.cli import run as cli_run
 from wva_lab.experiments import FAMILIES, fit_loglog, sweep
 from wva_lab.linalg import StateVector, fidelity
-from wva_lab.spin import SpinSpace, collective_op, dicke_state, nonlinear_observable, superpose_dicke, variance
+from wva_lab.spin import SpinSpace, collective_op, dicke_state, superpose_dicke, variance
 from wva_lab.wva import (
     centered_quadrature,
     evolved_joint,
     meter_readout,
     postselect,
     strategy_uncorrelated,
-    with_coupling,
 )
 
 from conftest import nonlinear_ratio_limit
@@ -59,7 +59,7 @@ def test_criterion_1_variance_identities():
         ghz = superpose_dicke(sp, [(j, 1.0), (-j, 1.0)])
         mid = superpose_dicke(sp, [(0, 1.0), (-j, 1.0)])
         v1 = variance(collective_op(sp, "jz"), ghz)
-        v2 = variance(nonlinear_observable(sp), mid)
+        v2 = variance(collective_op(sp, "nonlinear"), mid)
         worst = max(worst, abs(v1 - j**2), abs(v2 - j**4 / 4))
     elapsed = time.time() - t0
     ok = worst < 1e-9 and elapsed < 1.0
@@ -153,7 +153,8 @@ def test_criterion_5_circuit_oracle_equivalence():
         res = C.measure_circuit(two_j, evolved_joint(strat), j, -j, alpha, beta,
                                 zeta, strat.meter_space.dim)
         post = postselect(strat)
-        analytic = C.measure_probability_analytic(two_j, j, -j, zeta, post.success_prob_exact)
+        analytic = C.measure_probability_analytic(two_j, j, -j, "dicke_superposition",
+                                                  post.success_prob_exact)
         worst_prob = max(worst_prob, abs(res.p_tilde - analytic))
         worst_fid = min(worst_fid, fidelity(res.conditional_meter, post.kicked_meter_exact))
     for two_j in (4, 8):
@@ -166,7 +167,8 @@ def test_criterion_5_circuit_oracle_equivalence():
         res = C.measure_circuit(two_j, evolved_joint(strat), 0, -j, alpha, beta,
                                 zeta, strat.meter_space.dim)
         post = postselect(strat)
-        analytic = C.measure_probability_analytic(two_j, 0, -j, zeta, post.success_prob_exact)
+        analytic = C.measure_probability_analytic(two_j, 0, -j, "dicke_superposition",
+                                                  post.success_prob_exact)
         worst_prob = max(worst_prob, abs(res.p_tilde - analytic))
         worst_fid = min(worst_fid, fidelity(res.conditional_meter, post.kicked_meter_exact))
     elapsed = time.time() - t0
@@ -181,7 +183,7 @@ def test_criterion_5_circuit_oracle_equivalence():
 @pytest.fixture(scope="module")
 def fisher_preset():
     strat = FAMILIES["nonlinear_joint"].build(12, 1e-3, eta=0.05)  # j = 6
-    return strat, fisher.postselected_fisher_ratio(with_coupling(strat, 1e-4))
+    return strat, fisher.postselected_fisher_ratio(dataclasses.replace(strat, g=1e-4))
 
 
 def test_criterion_6a_operator_vs_finite_difference(fisher_preset):
@@ -229,7 +231,7 @@ def test_criterion_6c_postselected_ratio_at_preset(fisher_preset):
     for two_j, kappa, g in walk:
         s = FAMILIES["nonlinear_joint"].build(two_j, kappa, eta=0.05)
         assert 0.05 * g * abs(s.weak_value()) <= 1e-3
-        r = fisher.postselected_fisher_ratio(with_coupling(s, g)).ratio
+        r = fisher.postselected_fisher_ratio(dataclasses.replace(s, g=g)).ratio
         r_exact = nonlinear_ratio_limit(two_j, kappa, 0.05)
         ratios.append(r)
         worst = max(worst, abs(r - r_exact) / r_exact)
@@ -249,8 +251,8 @@ def test_criterion_6d_ratio_limit_as_g_to_zero(fisher_preset):
     # Richardson step in g^2 must land on R and closer than g=1e-4 alone.
     strat, _ = fisher_preset
     expected = nonlinear_ratio_limit(12, 1e-3, 0.05)
-    r_coarse = fisher.postselected_fisher_ratio(with_coupling(strat, 2e-4)).ratio
-    r_fine = fisher.postselected_fisher_ratio(with_coupling(strat, 1e-4)).ratio
+    r_coarse = fisher.postselected_fisher_ratio(dataclasses.replace(strat, g=2e-4)).ratio
+    r_fine = fisher.postselected_fisher_ratio(dataclasses.replace(strat, g=1e-4)).ratio
     limit = (4 * r_fine - r_coarse) / 3
     ok = abs(limit - expected) <= 1e-3 and abs(limit - expected) < abs(r_fine - expected)
     assert report("6d", ok, f"g->0 extrapolated ratio {limit:.10f} vs R = "

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wva_lab import circuits as C
 from wva_lab.experiments import FAMILIES, sweep
-from wva_lab.linalg import StateVector, fidelity, inner
+from wva_lab.linalg import StateVector, fidelity
 from wva_lab.spin import SpinSpace
 from wva_lab.wva import evolved_joint, postselect
 
@@ -25,10 +25,14 @@ from full_register_oracle import (
 )
 
 
+def embedding(two_j, m):
+    """|j,m> on one register: its row of the shared Dicke embeddings."""
+    return C._dicke_embeddings(two_j)[SpinSpace(two_j).index_of(m)]
+
+
 def test_embed_dicke_two_qubits():
-    mid = C.embed_dicke(2, 0)
-    np.testing.assert_allclose(mid.amplitudes, [0, 1 / sqrt(2), 1 / sqrt(2), 0])
-    np.testing.assert_allclose(C.embed_dicke(2, -1).amplitudes, [1, 0, 0, 0])
+    np.testing.assert_allclose(embedding(2, 0), [0, 1 / sqrt(2), 1 / sqrt(2), 0])
+    np.testing.assert_allclose(embedding(2, -1), [1, 0, 0, 0])
 
 
 @pytest.mark.parametrize("two_j", range(1, 9))
@@ -36,7 +40,7 @@ def test_embed_overlap_with_plus_reference(two_j):
     # oracle: direct inner product in the computational basis
     plus = C.reference_state(two_j, "plus_all")
     for m in SpinSpace(two_j).m_values():
-        ov = inner(C.embed_dicke(two_j, m), plus.vector)
+        ov = complex(np.vdot(embedding(two_j, m), plus.amplitudes))
         ones = round(two_j / 2 + m)
         assert ov.real == pytest.approx(2.0 ** (-two_j / 2) * sqrt(comb(two_j, ones)),
                                         abs=1e-12)
@@ -46,13 +50,12 @@ def test_embed_overlap_with_plus_reference(two_j):
 def test_embed_dicke_matches_the_index_loop_bit_for_bit():
     for two_j in range(1, C.MAX_REGISTER_TWO_J + 1):
         for m in SpinSpace(two_j).m_values():
-            got = C.embed_dicke(two_j, m).amplitudes
-            assert got.tobytes() == embed_dicke_loop(two_j, m).tobytes()
+            assert embedding(two_j, m).tobytes() == embed_dicke_loop(two_j, m).tobytes()
 
 
 def test_embed_register_cap():
     with pytest.raises(ValueError, match="register too large"):
-        C.embed_dicke(12, 0)
+        C.reference_state(12, "dicke_superposition", 0, -6)
 
 
 # ------------------------------------- the full-register oracle's machinery
@@ -127,7 +130,8 @@ def test_prep_brute_force_matches_analytic(two_j, m1, m2):
     res = C.prep_circuit(two_j, m1, m2, 1 / sqrt(2), 1 / sqrt(2), zeta)
     analytic = C.prep_probability_analytic(two_j, m1, m2, "plus_all")
     assert abs(res.success_prob - analytic) < 1e-10
-    overlaps = abs(C.reference_overlap(zeta, m1)) ** 2 * abs(C.reference_overlap(zeta, m2)) ** 2
+    z1, z2 = (np.vdot(embedding(two_j, m), zeta.amplitudes) for m in (m1, m2))
+    overlaps = abs(z1) ** 2 * abs(z2) ** 2
     assert overlaps == pytest.approx(analytic, abs=1e-14)
     assert res.leakage < 1e-12
 
@@ -221,7 +225,8 @@ def test_measure_brute_force_matches_analytic(two_j):
     res = C.measure_circuit(two_j, joint, j, -j, alpha, beta, zeta,
                             strat.meter_space.dim)
     post = postselect(strat)
-    analytic = C.measure_probability_analytic(two_j, j, -j, zeta, post.success_prob_exact)
+    analytic = C.measure_probability_analytic(two_j, j, -j, "dicke_superposition",
+                                              post.success_prob_exact)
     assert abs(res.p_tilde - analytic) < 1e-10
     assert fidelity(res.conditional_meter, post.kicked_meter_exact) >= 1 - 1e-10
 

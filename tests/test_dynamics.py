@@ -19,7 +19,7 @@ from wva_lab.dynamics import (
 )
 from wva_lab.families import FAMILIES
 from wva_lab.linalg import Operator, StateVector, fidelity
-from wva_lab.spin import SpinSpace, collective_op, dicke_state, nonlinear_observable
+from wva_lab.spin import SpinSpace, collective_op, dicke_state
 from wva_lab.boson import op_number
 
 from conftest import random_state, spy_everywhere
@@ -419,15 +419,12 @@ def test_trace_arrays_equal_the_old_statevectors(rng, name, commutator):
     # the old path solved every charge block; on a block psi0 does not
     # touch it wrote +-0.0, where the restricted frame leaves exact zeros
     states, drift = statevector_full_states(all_block_frame(p, psi0), trace.times)
-    old_eff = statevector_effective_states(p, psi0, store_every, commutator)
-    assert trace.full_states.shape == trace.effective_states.shape == (len(states), p.joint_dim)
-    assert not trace.full_states.flags.writeable and not trace.effective_states.flags.writeable
+    assert trace.full_states.shape == (len(states), p.joint_dim)
+    assert not trace.full_states.flags.writeable
     old_full = np.array([s.amplitudes for s in states])
     live = live_indices(p, psi0)
     assert trace.full_states[:, live].tobytes() == old_full[:, live].tobytes()
     assert np.array_equal(trace.full_states, old_full)
-    assert trace.effective_states.tobytes() == \
-        np.array([s.amplitudes for s in old_eff]).tobytes()
     assert trace.max_norm_drift == drift
     assert charge_drift(p, trace) == loop_charge_drift(conserved_charge(p).entries.real, states)
 
@@ -564,9 +561,9 @@ def test_block_memo_keeps_signed_zeros_apart(rng):
 
 def old_generator_diag(p, commutator):
     """The effective generator diagonal as it was built from the dense
-    `nonlinear_observable`."""
+    nonlinear observable."""
     space = SpinSpace(p.two_j)
-    a_diag = nonlinear_observable(space).entries.real
+    a_diag = collective_op(space, "nonlinear").entries.real
     m, n = space.m_values(), np.arange(p.fock_cutoff + 1, dtype=float)
     if commutator:
         return (p.g0**2 / p.delta_minus * (a_diag[:, None] * (4.0 * n[None, :] + 2.0)
@@ -614,8 +611,8 @@ def model_outputs(p, psi0):
     for commutator in (False, True):
         min_fid, trace = effective_model_fidelity(p, psi0, store_every=7,
                                                   include_commutator_terms=commutator)
-        out += [min_fid, trace.times, trace.full_states, trace.effective_states,
-                trace.fidelities, trace.max_norm_drift, charge_drift(p, trace),
+        out += [min_fid, trace.times, trace.full_states, trace.fidelities,
+                trace.max_norm_drift, charge_drift(p, trace),
                 effective_generator_diag(p, commutator)]
     out += [conservation_residual(p), conservation_residual(p, 1.3), conserved_charge(p).entries]
     return [np.asarray(x).tobytes() for x in out]
@@ -708,18 +705,38 @@ def test_stacked_charge_norms_equal_the_row_loop(rng, two_j, cutoff, rows):
     assert p.joint_dim % 2 == 1
     full = rng.normal(size=(rows, p.joint_dim)) + 1j * rng.normal(size=(rows, p.joint_dim))
     trace = EvolutionTrace(times=np.arange(rows, dtype=float), full_states=full,
-                           effective_states=full, fidelities=np.ones(rows), max_norm_drift=0.0)
+                           fidelities=np.ones(rows), max_norm_drift=0.0)
     states = [StateVector.unnormalized(row) for row in full]
     assert charge_drift(p, trace) == loop_charge_drift(conserved_charge(p).entries.real, states)
 
 
 def test_effective_evolution_keeps_the_norm_check(rng):
-    # each effective state used to be a StateVector, which checked its norm;
-    # a drift of 1e-11 passes the frame solver's 1e-10 but not NORM_TOL
+    # the frame solver holds psi0 to NORM_TOL, as a normalized StateVector
+    # is held: a drift of 1e-11 fails, and so does a NaN amplitude, whose
+    # NaN norm a `> NORM_TOL` check would let through
     p = make_params()
     psi0 = random_state(rng, p.joint_dim)
-    with pytest.raises(ValueError, match="state not normalized"):
-        effective_model_fidelity(p, StateVector.unnormalized((1 + 1e-11) * psi0.amplitudes))
+    nan_amps = psi0.amplitudes.copy()
+    nan_amps[3] = np.nan
+    for amps in ((1 + 1e-11) * psi0.amplitudes, nan_amps):
+        with pytest.raises(ValueError, match="state not normalized"):
+            effective_model_fidelity(p, StateVector.unnormalized(amps))
+
+
+def test_trace_memory_holds_only_the_full_states():
+    # two_j=4096, cutoff 10 (dim 45,067) with 11 stored rows: the full
+    # states are 7.9 MB; storing the effective states beside them peaked at
+    # 24.5 MB
+    p, psi0 = near_deterministic_case(4096)
+    effective_model_fidelity(p, psi0, store_every=5)  # the model and its blocks, once
+    tracemalloc.start()
+    try:
+        _, trace = effective_model_fidelity(p, psi0, store_every=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.full_states.shape == (11, p.joint_dim)
+    assert peak < 12e6
 
 
 def test_rk4_derivative_consistent_with_hamiltonian(rng):
@@ -748,7 +765,11 @@ def test_effective_identity_at_zero_time():
     psi0 = joint_state(p, 0, [0.6, 0.5, 0.4, 0.3, 0.2])
     trace = trace_of(p, psi0)
     assert trace.times[0] == 0.0
-    np.testing.assert_allclose(trace.effective_states[0], psi0.amplitudes)
+    # the same-block pair weights sum to <psi_full(0)|psi_eff(0)> = <psi0|psi0>
+    frame = _frame_propagator(p, psi0)
+    weights, _ = dynamics._pair_terms(psi0, frame, effective_generator_diag(p))
+    assert np.sum(weights) == pytest.approx(1.0, abs=1e-12)
+    assert trace.fidelities[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_effective_single_level_phase():
@@ -757,8 +778,9 @@ def test_effective_single_level_phase():
     trace = trace_of(p, psi0)
     j = 1.0
     phase = np.exp(-1j * p.g_dispersive * j * (j + 1) * 1 * trace.times[-1])
-    np.testing.assert_allclose(trace.effective_states[-1],
-                               phase * psi0.amplitudes, atol=1e-12)
+    (level,) = np.flatnonzero(psi0.amplitudes)
+    gen = effective_generator_diag(p)
+    assert np.exp(-1j * gen[level] * trace.times[-1]) == pytest.approx(phase, abs=1e-12)
 
 
 def test_effective_phases_match_eig_expm():
@@ -766,7 +788,7 @@ def test_effective_phases_match_eig_expm():
     p = make_params(two_j=4, fock_cutoff=3)
     sp = SpinSpace(4)
     meter = FockSpace(3)
-    h = tensor(nonlinear_observable(sp), op_number(meter))
+    h = tensor(collective_op(sp, "nonlinear"), op_number(meter))
     h = type(h)(h.dim, p.g_dispersive * h.entries, hermitian=True, diagonal=True)
     t = 1.73
     u = expm_i(h, t)
@@ -777,10 +799,13 @@ def test_effective_phases_match_eig_expm():
 def test_effective_populations_conserved():
     p = make_params(t_final=7.0)
     psi0 = joint_state(p, 0, [0.5, 0.5, 0.5, 0.5, 0.0])
-    trace = trace_of(p, psi0)
-    for s in trace.effective_states:
-        np.testing.assert_allclose(np.abs(s), np.abs(psi0.amplitudes),
-                                   atol=1e-12)
+    # a real diagonal generator only rephases each amplitude
+    for commutator in (False, True):
+        gen = effective_generator_diag(p, commutator)
+        assert gen.dtype == np.float64 and np.all(np.isfinite(gen))
+        for s in statevector_effective_states(p, psi0, 1, commutator):
+            np.testing.assert_allclose(np.abs(s.amplitudes), np.abs(psi0.amplitudes),
+                                       atol=1e-12)
 
 
 # ------------------------------------------------------- fidelity validation
@@ -801,7 +826,7 @@ def test_fidelity_trace_structure():
     assert np.all(trace.fidelities <= 1.0 + 1e-12)
     assert np.all(trace.fidelities >= minf - 1e-12)
     assert len(trace.times) == len(trace.fidelities)
-    assert len(trace.full_states) == len(trace.effective_states) == len(trace.times)
+    assert len(trace.full_states) == len(trace.times)
 
 
 def test_fidelity_trace_matches_stored_states():
@@ -812,8 +837,9 @@ def test_fidelity_trace_matches_stored_states():
     for commutator in (False, True):
         _, trace = effective_model_fidelity(p, psi0, store_every=37,
                                             include_commutator_terms=commutator)
-        direct = [abs(np.vdot(f, e)) ** 2
-                  for f, e in zip(trace.full_states, trace.effective_states)]
+        effective = statevector_effective_states(p, psi0, 37, commutator)
+        direct = [abs(np.vdot(f, e.amplitudes)) ** 2
+                  for f, e in zip(trace.full_states, effective)]
         np.testing.assert_allclose(trace.fidelities, direct, rtol=0, atol=1e-12)
 
 

@@ -5,18 +5,15 @@ import pytest
 
 from wva_lab.boson import FockSpace, coherent_state, min_cutoff, op_number
 from wva_lab.families import FAMILIES
-from wva_lab.fisher import postselected_fisher_ratio, qfi_nonlinear_coherent, qfi_product
+from wva_lab.fisher import postselected_fisher_ratio, qfi_nonlinear_coherent
 from wva_lab.linalg import Operator, StateVector
-from wva_lab.spin import SpinSpace, dicke_state, superpose_dicke, nonlinear_observable, variance
-from wva_lab.wva import (
-    postselect,
-    strategy_uncorrelated,
-    with_coupling,
-)
+from wva_lab.spin import SpinSpace, collective_op, dicke_state, superpose_dicke, variance
+from wva_lab.wva import WeakValueStrategy, postselect, strategy_uncorrelated
 
 from conftest import nonlinear_ratio_limit, random_hermitian, random_state
 from dense_operator_oracle import tensor
 from finite_difference_oracle import qfi_from_family
+from fisher_ratio_oracle import qfi_product
 
 
 def generator_qfi(H, psi):
@@ -39,16 +36,21 @@ def _fd_qfi_oracle(H, psi, g=0.0, h=1e-6):
 
 def test_qfi_eigenstate_zero():
     sp = SpinSpace(6)
-    a = nonlinear_observable(sp)
+    a = collective_op(sp, "nonlinear")
     assert generator_qfi(a, dicke_state(sp, 0)) == 0.0
 
 
 def test_qfi_product_formula(rng):
+    # the total QFI of a strategy, from its two factors' moments, is that of
+    # the assembled generator A (x) B on psi_i (x) phi_i
     for _ in range(5):
-        A, B = random_hermitian(rng, 5), random_hermitian(rng, 4)
+        A = random_hermitian(rng, 5)
+        B = Operator.from_diagonal(rng.normal(size=4))
         u, v = random_state(rng, 5), random_state(rng, 4)
+        strat = WeakValueStrategy(SpinSpace(4), u, random_state(rng, 5), A, FockSpace(3), v, B,
+                                  1e-9)
         assembled = generator_qfi(tensor(A, B), tensor(u, v))
-        assert qfi_product(A, u, B, v) == pytest.approx(assembled, rel=1e-10)
+        assert postselected_fisher_ratio(strat).qfi_total == pytest.approx(assembled, rel=1e-10)
 
 
 def test_qfi_matches_finite_difference_oracle(rng):
@@ -97,7 +99,7 @@ def test_qfi_nonlinear_matches_assembled_operator(two_j, eta):
     psi = superpose_dicke(sp, [(0, 1.0), (-j, 1.0)])
     meter = FockSpace(min_cutoff(eta, 1e-12) + 2)
     phi = coherent_state(meter, eta)
-    assembled = generator_qfi(tensor(nonlinear_observable(sp), op_number(meter)),
+    assembled = generator_qfi(tensor(collective_op(sp, "nonlinear"), op_number(meter)),
                                    tensor(psi, phi))
     assert exact == pytest.approx(assembled, rel=1e-8)
 
@@ -124,7 +126,7 @@ def test_postselected_ratio_grows_with_g():
     gs = (1e-4, 1e-3, 3e-3, 1e-2)
     ratios, preds = [], []
     for g in gs:
-        rep = postselected_fisher_ratio(with_coupling(strat, g))
+        rep = postselected_fisher_ratio(dataclasses.replace(strat, g=g))
         ratios.append(rep.ratio)
         preds.append(rep.ratio_prediction)
     assert all(a < b for a, b in zip(ratios, ratios[1:]))
@@ -138,7 +140,7 @@ def test_postselected_ratio_step_shrinks_with_weak_value():
     # |A_w| ~ 3.2e6 here: a step of 1e-6 would move the probe points
     # g +- step far outside the weak-kick regime although g itself is inside.
     strat = FAMILIES["nonlinear_joint"].build(400, 1e-9, eta=0.05)
-    rep = postselected_fisher_ratio(with_coupling(strat, 1e-10))
+    rep = postselected_fisher_ratio(dataclasses.replace(strat, g=1e-10))
     assert rep.ratio == pytest.approx(nonlinear_ratio_limit(400, 1e-9, 0.05), rel=1e-6)
 
 
@@ -165,7 +167,7 @@ def test_postselected_ratio_matches_converged_finite_difference(point):
     strat = ORACLE_POINTS[point]()
 
     def kicked(g):
-        return postselect(with_coupling(strat, g)).kicked_meter_exact
+        return postselect(dataclasses.replace(strat, g=g)).kicked_meter_exact
 
     total = qfi_product(strat.A, strat.psi_i, strat.B, strat.phi_i)
     oracle = postselect(strat).success_prob_exact * qfi_from_family(kicked, strat.g, 3e-8) / total
@@ -175,7 +177,7 @@ def test_postselected_ratio_matches_converged_finite_difference(point):
 def test_postselected_ratio_warns_outside_weak_regime():
     strat = FAMILIES["nonlinear_joint"].build(12, 1e-3, eta=0.05)
     with pytest.warns(UserWarning, match="weak-kick"):
-        postselected_fisher_ratio(with_coupling(strat, 0.05))
+        postselected_fisher_ratio(dataclasses.replace(strat, g=0.05))
 
 
 def test_postselected_ratio_rejects_zero_total_qfi():

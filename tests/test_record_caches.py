@@ -60,8 +60,8 @@ def test_cached_pieces_are_what_a_fresh_build_gives():
     for two_j in (1, 6, 10):
         assert (circuits._dicke_embeddings(two_j).tobytes()
                 == circuits._dicke_embeddings.__wrapped__(two_j).tobytes())
-        assert (circuits.reference_state(two_j, "plus_all").vector.amplitudes.tobytes()
-                == circuits._plus_all.__wrapped__(two_j).vector.amplitudes.tobytes())
+        assert (circuits.reference_state(two_j, "plus_all").amplitudes.tobytes()
+                == circuits._plus_all.__wrapped__(two_j).amplitudes.tobytes())
     for two_j, index in ((4, 2), (600, 300), (600, 600), (2000, 1000)):
         assert (circuits._plus_all_weight(two_j, index).hex()
                 == circuits._plus_all_weight.__wrapped__(two_j, index).hex())
@@ -72,8 +72,7 @@ def test_cached_arrays_are_read_only():
     arrays += [FAMILIES["nonlinear_joint"].build(6, 1e-3).psi_i.amplitudes,
                FAMILIES["linear_fixed_aw"].build(6, 250.0).psi_i.amplitudes,
                circuits._dicke_embeddings(4),
-               circuits.embed_dicke(4, 0).amplitudes,
-               circuits.reference_state(4, "plus_all").vector.amplitudes]
+               circuits.reference_state(4, "plus_all").amplitudes]
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -160,7 +159,7 @@ def test_a_hand_built_meter_is_computed_once():
     fisher._meter_terms.cache_clear()
     strat = _hand_built_meter(FAMILIES["nonlinear_joint"].build(8, 1e-3))
     for g in (1e-5, 1e-4, 2e-4):
-        postselected_fisher_ratio(wva.with_coupling(strat, g))
+        postselected_fisher_ratio(dataclasses.replace(strat, g=g))
     info = fisher._meter_terms.cache_info()
     assert (info.misses, info.hits) == (1, 2)
     # an equal meter built again is another object, and another entry

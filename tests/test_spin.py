@@ -6,7 +6,6 @@ from wva_lab.spin import (
     SpinSpace,
     collective_op,
     dicke_state,
-    nonlinear_observable,
     superpose_dicke,
     variance,
 )
@@ -137,7 +136,7 @@ def test_jz_action():
 
 def test_nonlinear_eigenvalues():
     sp = SpinSpace(6)  # j = 3
-    a = nonlinear_observable(sp)
+    a = collective_op(sp, "nonlinear")
     d = np.diag(a.dense()).real
     assert d[sp.index_of(0)] == pytest.approx(12.0)
     assert d[sp.index_of(3)] == pytest.approx(3.0)
@@ -161,7 +160,7 @@ def test_ladder_identities(two_j):
 def test_nonlinear_spectrum_bounds(two_j):
     sp = SpinSpace(two_j)
     j = sp.j
-    d = np.diag(nonlinear_observable(sp).dense()).real
+    d = np.diag(collective_op(sp, "nonlinear").dense()).real
     assert d.min() == pytest.approx(j)
     assert d.max() == pytest.approx(j * (j + 1))
     assert d[sp.index_of(j)] == pytest.approx(j)
@@ -176,7 +175,7 @@ def test_variance_identities(j):
     jz = collective_op(sp, "jz")
     assert variance(jz, ghz) == pytest.approx(j**2, abs=1e-9)
     mid = superpose_dicke(sp, [(0, 1.0), (-j, 1.0)])
-    assert variance(nonlinear_observable(sp), mid) == pytest.approx(j**4 / 4, rel=1e-12)
+    assert variance(collective_op(sp, "nonlinear"), mid) == pytest.approx(j**4 / 4, rel=1e-12)
 
 
 def test_variance_eigenstate_zero():
@@ -189,7 +188,7 @@ def test_variance_grid_search_max():
     # grid over weight/phase in span{|j,0>, |j,-j>}: max Var = j^4/4 at equal weight
     sp = SpinSpace(8)
     j = sp.j
-    a = nonlinear_observable(sp)
+    a = collective_op(sp, "nonlinear")
     best = 0.0
     for w in np.linspace(0.02, 0.98, 49):
         for phi in np.linspace(0, 2 * np.pi, 16, endpoint=False):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from wva_lab.boson import op_number
 from wva_lab.linalg import NullPostselectionError, Operator, StateVector, fidelity, inner
-from wva_lab.spin import SpinSpace, collective_op, dicke_state, nonlinear_observable, superpose_dicke, variance
+from wva_lab.spin import SpinSpace, collective_op, dicke_state, superpose_dicke, variance
 from wva_lab import wva
 from wva_lab.experiments import FAMILIES, sweep
 from wva_lab.wva import (
@@ -24,9 +24,6 @@ from wva_lab.wva import (
     postselection_state_fixed_Ps,
     sigma_advantage,
     strategy_uncorrelated,
-    success_probability,
-    weak_value,
-    with_coupling,
 )
 
 from conftest import FAMILY_PARAMETERS, random_hermitian, random_state
@@ -36,16 +33,23 @@ from dense_operator_oracle import expm_i, tensor
 # ---------------------------------------------------------------- weak value
 
 
+def pair_strategy(psi_i, psi_f, A):
+    """A strategy on the default meter with the system states psi_i, psi_f
+    (normalized or not) and the observable A."""
+    return dataclasses.replace(strategy_uncorrelated(0.1), system_space=SpinSpace(A.dim - 1),
+                               psi_i=psi_i, psi_f=psi_f, A=A)
+
+
 def test_weak_value_eigenstate():
     sp = SpinSpace(4)
     st_ = dicke_state(sp, 1)
     jz = collective_op(sp, "jz")
-    assert weak_value(st_, st_, jz) == pytest.approx(1.0)
+    assert pair_strategy(st_, st_, jz).weak_value() == pytest.approx(1.0)
 
 
 def test_weak_value_qubit_example():
     strat = strategy_uncorrelated(0.05)
-    aw = weak_value(strat.psi_i, strat.psi_f, strat.A)
+    aw = strat.weak_value()
     assert aw.real == pytest.approx(0.0, abs=1e-12)
     assert aw.imag == pytest.approx(-1 / np.tan(0.05))
     assert abs(aw) == pytest.approx(19.983330554894, abs=1e-9)
@@ -53,15 +57,15 @@ def test_weak_value_qubit_example():
 
 def test_weak_value_nonlinear_value():
     strat = FAMILIES["nonlinear_joint"].build(4, 1e-3)
-    aw = weak_value(strat.psi_i, strat.psi_f, strat.A)
+    aw = strat.weak_value()
     assert aw == pytest.approx(35.622776601684, abs=1e-9)
 
 
 def test_weak_value_orthogonal_raises():
     sp = SpinSpace(2)
     with pytest.raises(NullPostselectionError):
-        weak_value(dicke_state(sp, 1), dicke_state(sp, 0),
-                   collective_op(sp, "jz"))
+        pair_strategy(dicke_state(sp, 1), dicke_state(sp, 0),
+                      collective_op(sp, "jz")).weak_value()
 
 
 @settings(max_examples=40, deadline=None)
@@ -80,9 +84,9 @@ def test_weak_value_phase_and_scale_invariant(seed, c1, c2):
         return
     h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     A = Operator(dim, (h + h.conj().T) / 2, hermitian=True)
-    base = weak_value(psi_i, psi_f, A)
-    scaled = weak_value(StateVector.unnormalized(c1 * psi_i.amplitudes),
-                        StateVector.unnormalized(c2 * psi_f.amplitudes), A)
+    base = pair_strategy(psi_i, psi_f, A).weak_value()
+    scaled = pair_strategy(StateVector.unnormalized(c1 * psi_i.amplitudes),
+                           StateVector.unnormalized(c2 * psi_f.amplitudes), A).weak_value()
     assert scaled == pytest.approx(base, rel=1e-10)
 
 
@@ -92,7 +96,7 @@ def test_weak_value_phase_and_scale_invariant(seed, c1, c2):
 def test_success_probability_identical():
     sp = SpinSpace(2)
     s = superpose_dicke(sp, [(1, 1.0), (-1, 1.0)])
-    assert success_probability(s, s) == pytest.approx(1.0)
+    assert pair_strategy(s, s, collective_op(sp, "jz")).success_probability() == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("j", range(1, 21))
@@ -101,22 +105,19 @@ def test_success_probability_nonlinear_pair(j):
     kappa = 0.08 / j**2  # keeps kappa j^2 < 0.1 for every j
     strat = FAMILIES["nonlinear_joint"].build(2 * j, kappa)
     expect = kappa * j**2 / (1 + kappa * j**2)
-    assert success_probability(strat.psi_i, strat.psi_f) == pytest.approx(expect, abs=1e-12)
+    assert strat.success_probability() == pytest.approx(expect, abs=1e-12)
 
 
 @pytest.mark.parametrize("eps", [0.01, 0.04, 0.25])
 def test_success_probability_near_deterministic(eps):
     strat = FAMILIES["near_deterministic"].build(8, eps)
-    assert success_probability(strat.psi_i, strat.psi_f) == pytest.approx(1 / (1 + eps), abs=1e-12)
+    assert strat.success_probability() == pytest.approx(1 / (1 + eps), abs=1e-12)
 
 
 def test_collective_success_values():
-    assert collective_success(0.0, 12).exact == 0.0
-    assert collective_success(1.0, 5).exact == 1.0
-    res = collective_success(0.01, 10)
-    assert res.exact == pytest.approx(0.09561792499120, abs=1e-12)
-    assert res.linearized == pytest.approx(0.1)
-    assert res.difference == pytest.approx(res.exact - 0.1)
+    assert collective_success(0.0, 12) == 0.0
+    assert collective_success(1.0, 5) == 1.0
+    assert collective_success(0.01, 10) == pytest.approx(0.09561792499120, abs=1e-12)
 
 
 def test_sigma_advantage_values():
@@ -140,7 +141,7 @@ def test_sigma_advantage_values():
 def test_orthogonal_complement_nonlinear():
     sp = SpinSpace(8)
     psi = superpose_dicke(sp, [(0, 1.0), (-4, 1.0)])
-    perp = orthogonal_complement_state(psi, nonlinear_observable(sp))
+    perp = orthogonal_complement_state(psi, collective_op(sp, "nonlinear"))
     expect = superpose_dicke(sp, [(0, 1.0), (-4, -1.0)])
     assert fidelity(perp, expect) == pytest.approx(1.0, abs=1e-12)
 
@@ -165,13 +166,13 @@ def test_orthogonal_complement_random_orthogonality(rng):
 def test_orthogonal_complement_eigenstate_rejected():
     sp = SpinSpace(4)
     with pytest.raises(ValueError, match="eigenstate"):
-        orthogonal_complement_state(dicke_state(sp, 0), nonlinear_observable(sp))
+        orthogonal_complement_state(dicke_state(sp, 0), collective_op(sp, "nonlinear"))
 
 
 def test_fixed_ps_state_limits_and_coefficients():
     sp = SpinSpace(8)  # j = 4
     psi = superpose_dicke(sp, [(0, 1.0), (-4, 1.0)])
-    a = nonlinear_observable(sp)
+    a = collective_op(sp, "nonlinear")
     near_one = postselection_state_fixed_Ps(psi, a, 1 - 1e-10)
     assert fidelity(near_one, psi) == pytest.approx(1.0, abs=1e-9)
 
@@ -183,8 +184,9 @@ def test_fixed_ps_state_limits_and_coefficients():
     assert c0 / c1 == pytest.approx(1.126491106407 / -0.873508893593, rel=1e-12)
 
     exact = postselection_state_fixed_Ps(psi, a, kappa * 16)
-    assert success_probability(psi, exact) == pytest.approx(kappa * 16, abs=1e-12)
-    p_approx = success_probability(psi, approx)
+    assert pair_strategy(psi, exact, a).success_probability() == pytest.approx(kappa * 16,
+                                                                              abs=1e-12)
+    p_approx = pair_strategy(psi, approx, a).success_probability()
     assert p_approx == pytest.approx(kappa * 16 / (1 + kappa * 16), abs=1e-12)
 
 
@@ -199,10 +201,10 @@ def test_fixed_ps_weak_value_approaches_bound():
     # |A_w| ~ sqrt(Var/P) once the bound dwarfs the observable's mean
     sp = SpinSpace(8)
     psi = superpose_dicke(sp, [(0, 1.0), (-4, 1.0)])
-    a = nonlinear_observable(sp)
+    a = collective_op(sp, "nonlinear")
     p = 1e-4
     psi_f = postselection_state_fixed_Ps(psi, a, p)
-    aw = abs(weak_value(psi, psi_f, a))
+    aw = abs(pair_strategy(psi, psi_f, a).weak_value())
     bound = max_weak_value_bound(psi, a, p)
     assert bound == pytest.approx(np.sqrt(variance(a, psi) / p))
     assert abs(aw - bound) / bound < 0.05
@@ -211,7 +213,7 @@ def test_fixed_ps_weak_value_approaches_bound():
 def test_max_weak_value_bound_values():
     sp = SpinSpace(12)  # j = 6
     psi = superpose_dicke(sp, [(0, 1.0), (-6, 1.0)])
-    a = nonlinear_observable(sp)
+    a = collective_op(sp, "nonlinear")
     kappa = 1e-3
     bound = max_weak_value_bound(psi, a, kappa * 36)
     assert bound == pytest.approx(6 / (2 * np.sqrt(kappa)), rel=1e-12)
@@ -236,13 +238,13 @@ def test_fixed_sigma_bound_scaling():
 
 def test_strategy_near_deterministic_example():
     strat = FAMILIES["near_deterministic"].build(6, 0.04)  # j = 3
-    aw = weak_value(strat.psi_i, strat.psi_f, strat.A)
+    aw = strat.weak_value()
     assert aw == pytest.approx(8.4, abs=1e-9)
 
 
 def test_strategy_uncorrelated_success():
     strat = strategy_uncorrelated(0.05)
-    ps = success_probability(strat.psi_i, strat.psi_f)
+    ps = strat.success_probability()
     assert ps == pytest.approx(np.sin(0.05) ** 2, abs=1e-15)
     assert ps == pytest.approx(2.497917360987e-3, abs=1e-12)
 
@@ -251,23 +253,23 @@ def test_strategy_linear_optimal_hits_target():
     for aw in (5.0, 50.0, 500.0):
         strat = FAMILIES["linear_fixed_aw"].build(10, aw)
         j = 5.0
-        assert weak_value(strat.psi_i, strat.psi_f, strat.A) == pytest.approx(aw, rel=1e-12)
-        assert success_probability(strat.psi_i, strat.psi_f) == pytest.approx(
+        assert strat.weak_value() == pytest.approx(aw, rel=1e-12)
+        assert strat.success_probability() == pytest.approx(
             j**2 / (j**2 + aw**2), rel=1e-12)
 
 
 def test_strategy_linear_fixed_sigma_pins_success():
     c = 2.5e-3
     strat = FAMILIES["linear_fixed_sigma"].build(12, c)
-    assert success_probability(strat.psi_i, strat.psi_f) == pytest.approx(12 * c, abs=1e-14)
-    assert sigma_advantage(success_probability(strat.psi_i, strat.psi_f), 12, c) \
+    assert strat.success_probability() == pytest.approx(12 * c, abs=1e-14)
+    assert sigma_advantage(strat.success_probability(), 12, c) \
         == pytest.approx(1.0, abs=1e-11)
 
 
 def test_linear_strategy_half_integer_j():
     # odd two_j (half-integer j) is first-class for the linear families
     strat = FAMILIES["linear_fixed_aw"].build(5, 30.0)  # j = 5/2
-    assert weak_value(strat.psi_i, strat.psi_f, strat.A) == pytest.approx(30.0, rel=1e-12)
+    assert strat.weak_value() == pytest.approx(30.0, rel=1e-12)
     res = postselect(strat)
     assert res.success_prob_zeroth == pytest.approx(2.5**2 / (2.5**2 + 900.0), rel=1e-12)
     assert res.fidelity_exact_vs_firstorder > 1 - 1e-8
@@ -348,9 +350,9 @@ def test_consistency_chain():
     for j in range(2, 21, 2):
         kappa = 2e-4
         strat = FAMILIES["nonlinear_joint"].build(2 * j, kappa)
-        ps = success_probability(strat.psi_i, strat.psi_f)
+        ps = strat.success_probability()
         assert ps == pytest.approx(kappa * j**2 / (1 + kappa * j**2), abs=1e-13)
-        aw = weak_value(strat.psi_i, strat.psi_f, strat.A)
+        aw = strat.weak_value()
         expect_aw = (j**2 + 2 * j) / 2 + j / (2 * np.sqrt(kappa))
         assert aw == pytest.approx(expect_aw, rel=1e-12)
         bound = max_weak_value_bound(strat.psi_i, strat.A, kappa * j**2)
@@ -358,7 +360,7 @@ def test_consistency_chain():
     ratios = []
     for kappa in (1e-4, 1e-6, 1e-8):
         strat = FAMILIES["nonlinear_joint"].build(20, kappa)
-        aw = abs(weak_value(strat.psi_i, strat.psi_f, strat.A))
+        aw = abs(strat.weak_value())
         ratios.append(aw / max_weak_value_bound(strat.psi_i, strat.A, kappa * 100))
     assert ratios[0] > ratios[1] > ratios[2] > 1.0
     assert ratios[2] == pytest.approx(1.0, abs=2e-3)
@@ -447,17 +449,10 @@ def test_readout_quadrature_matches_formula():
     assert slope == pytest.approx(2.0, abs=0.1)
 
 
-def test_with_coupling_replaces_g():
-    strat = strategy_uncorrelated(0.1, g=1e-4)
-    assert with_coupling(strat, 5e-4).g == 5e-4
-    assert strat.g == 1e-4
-
-
 @pytest.mark.parametrize("g", [np.nan, np.inf, -np.inf])
 def test_strategy_rejects_a_non_finite_coupling(g):
     strat = FAMILIES["nonlinear_joint"].build(4, 1e-3)
     for make in (lambda: FAMILIES["nonlinear_joint"].build(4, 1e-3, g=g),
-                 lambda: with_coupling(strat, g),
                  lambda: dataclasses.replace(strat, g=g)):
         with pytest.raises(ValueError, match="g must be finite"):
             make()
@@ -551,8 +546,8 @@ def test_evolved_joint_eigenbasis_kick_matches_dense_oracle(rng, random_b):
 def test_strategy_records_overlap_at_construction():
     strat = FAMILIES["nonlinear_joint"].build(8, 1e-3)
     assert strat.initial_overlap == pytest.approx(inner(strat.psi_f, strat.psi_i))
-    assert abs(strat.initial_overlap) ** 2 == pytest.approx(
-        success_probability(strat.psi_i, strat.psi_f))
+    assert strat.success_probability() == pytest.approx(
+        abs(inner(strat.psi_f, strat.psi_i)) ** 2)
 
 
 def test_strategy_meter_defaults():
